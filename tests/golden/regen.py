@@ -11,17 +11,29 @@ committed under ``tests/golden/`` and diffed against fresh runs by
 fault subsystem gets bit-for-bit evidence instead of ad-hoc worktree
 comparisons.
 
+The *corpus* (``--corpus``) is the wide companion: one committed file,
+``corpus.json``, holding a digest of every registered scheme on
+L1/L5/L10/churn20/regime_shift/poisson_hetero_demo under both engines,
+plus ``mega_ci_1k``/pairwise on the event engine.  Each entry pins the
+sha256 of the full ``(kind, time, app, node_id)`` event stream, every
+application's finish time and processed volume, and the
+``evaluate_schedule`` metrics — so any ulp of drift in a placement
+anywhere in the grid shows up as a failed digest.
+
 Regenerate after an *intentional* behaviour change::
 
     PYTHONPATH=src python tests/golden/regen.py --regen
+    PYTHONPATH=src python tests/golden/regen.py --corpus --regen
 
 Without ``--regen`` the script reports, per case, whether the current
-code still matches the committed trace.
+code still matches the committed trace (or corpus entry).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -39,6 +51,91 @@ CASES: tuple[tuple[str, str], ...] = tuple(
 #: the default (event-driven) engine.
 SEED = 11
 ENGINE = "event"
+
+
+#: The corpus grid: every registered scheme on these scenarios under both
+#: engines, plus the fleet-scale CI scenario on the event engine.
+CORPUS_PATH = GOLDEN_DIR / "corpus.json"
+CORPUS_SCENARIOS = ("L1", "L5", "L10", "churn20", "regime_shift",
+                    "poisson_hetero_demo")
+CORPUS_ENGINES = ("event", "fixed")
+CORPUS_EXTRA = (("mega_ci_1k", "pairwise", "event"),)
+CORPUS_SEED = 7
+
+
+def corpus_cases() -> tuple[tuple[str, str, str], ...]:
+    """(scenario, scheme, engine) of every corpus entry."""
+    from repro.scheduling.registry import scheme_names
+
+    grid = tuple((scenario, scheme, engine)
+                 for scenario in CORPUS_SCENARIOS
+                 for scheme in sorted(scheme_names())
+                 for engine in CORPUS_ENGINES)
+    return grid + CORPUS_EXTRA
+
+
+def corpus_key(scenario: str, scheme: str, engine: str) -> str:
+    return f"{scenario}/{scheme}/{engine}"
+
+
+def corpus_artefacts():
+    """The trained artefacts the learned schemes need (seeded)."""
+    from types import SimpleNamespace
+
+    from repro.core.moe import MixtureOfExperts
+    from repro.core.training import collect_training_data
+
+    dataset = collect_training_data(seed=0)
+    return SimpleNamespace(dataset=dataset,
+                           moe=MixtureOfExperts.from_dataset(dataset))
+
+
+def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
+                      seed: int = CORPUS_SEED, **simulator_kwargs) -> dict:
+    """Digest one (scenario, scheme, engine) run for the corpus.
+
+    Normalised through a JSON round-trip like :func:`make_trace`.
+    """
+    from repro.cluster.simulator import ClusterSimulator
+    from repro.metrics.throughput import evaluate_schedule
+    from repro.scenarios import load_scenario
+    from repro.scheduling.registry import build_scheduler
+    from repro.spark.driver import DynamicAllocationPolicy
+
+    spec = load_scenario(scenario)
+    cluster = spec.build_cluster()
+    policy = DynamicAllocationPolicy(max_executors=len(cluster))
+    scheduler = build_scheduler(scheme, artefacts, allocation_policy=policy)
+    simulator = ClusterSimulator(cluster, scheduler, seed=seed,
+                                 step_mode=engine,
+                                 max_time_min=spec.max_time_min,
+                                 faults=spec.faults, **simulator_kwargs)
+    jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
+    result = simulator.run(jobs)
+    evaluation = evaluate_schedule(result, jobs, policy)
+    stream = json.dumps([[e.kind.value, e.time, e.app, e.node_id]
+                         for e in result.events.events],
+                        separators=(",", ":"))
+    entry = {
+        "n_events": len(result.events.events),
+        "events_sha256": hashlib.sha256(stream.encode()).hexdigest(),
+        "apps": {name: [app.finish_time, app.processed_gb]
+                 for name, app in result.apps.items()},
+        "metrics": dataclasses.asdict(evaluation),
+    }
+    return json.loads(json.dumps(entry))
+
+
+def make_corpus(progress=None, **simulator_kwargs) -> dict:
+    """The whole corpus document, one run per :func:`corpus_cases` entry."""
+    artefacts = corpus_artefacts()
+    entries = {}
+    for case in corpus_cases():
+        if progress is not None:
+            progress(corpus_key(*case))
+        entries[corpus_key(*case)] = make_corpus_entry(
+            *case, artefacts, **simulator_kwargs)
+    return {"seed": CORPUS_SEED, "entries": entries}
 
 
 def trace_path(scenario: str, scheme: str) -> Path:
@@ -113,7 +210,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--regen", action="store_true",
                         help="overwrite the committed traces with the "
                              "current code's output")
+    parser.add_argument("--corpus", action="store_true",
+                        help="work on the wide corpus file instead of "
+                             "the per-case traces")
     args = parser.parse_args(argv)
+    if args.corpus:
+        return corpus_main(args.regen)
     stale = 0
     for scenario, scheme in CASES:
         path = trace_path(scenario, scheme)
@@ -131,6 +233,26 @@ def main(argv: list[str] | None = None) -> int:
             stale += 1
         else:
             print(f"ok      {path.name}")
+    return 1 if stale else 0
+
+
+def corpus_main(regen: bool) -> int:
+    # Generated from the per-object kernel, the historical parity oracle.
+    corpus = make_corpus(progress=lambda key: print(key, flush=True),
+                         kernel="object")
+    if regen:
+        CORPUS_PATH.write_text(json.dumps(corpus, indent=1) + "\n")
+        print(f"wrote {CORPUS_PATH.relative_to(GOLDEN_DIR.parent.parent)}")
+        return 0
+    committed = (json.loads(CORPUS_PATH.read_text())
+                 if CORPUS_PATH.is_file() else {"entries": {}})
+    stale = 0
+    for key, entry in corpus["entries"].items():
+        if committed["entries"].get(key) != entry:
+            print(f"STALE   {key}")
+            stale += 1
+    print(f"{len(corpus['entries']) - stale}/{len(corpus['entries'])} "
+          "corpus entries match")
     return 1 if stale else 0
 
 
