@@ -25,11 +25,12 @@ When the kernel-throughput reports are passed too (``--throughput`` /
 ``--throughput-baseline``, produced by ``benchmarks/throughput.py``),
 the gate additionally checks, per tier present in both reports:
 
-* both kernels still agree bit-for-bit (``kernels_agree``);
-* the vector kernel's events/sec may regress at most the same
-  ``--max-regression`` fraction — normalized, as above, by the
-  same-machine object-kernel events/sec (i.e. the gated quantity is
-  ``vector_speedup``), so runner hardware cancels out.
+* the trajectory — event count and makespan, deterministic per
+  scenario/seed — equals the committed baseline's exactly;
+* events/sec may regress at most the same ``--max-regression``
+  fraction, normalized by the same process's calibration-loop time
+  (the gated quantity is ``events_per_s * calibration_s``), so runner
+  hardware cancels out.
 
 When the rollout-throughput reports are passed (``--rollout`` /
 ``--rollout-baseline``, produced by ``benchmarks/rollout_throughput.py``),
@@ -74,89 +75,46 @@ def check_throughput(pr: dict, base: dict, max_regression: float,
                      failures: list[str]) -> None:
     """Gate the kernel-throughput report against its committed baseline.
 
-    Events/sec is hardware-bound, so the gated quantities are ratios of
-    same-machine measurements:
-
-    * tiers that ran both kernels are gated on ``vector_speedup``
-      (vector events/sec over the same machine's object-kernel
-      events/sec), and ``kernels_agree`` — the end-to-end batched-vs-
-      scalar scoring agreement, since the object kernel runs every
-      scheme's scalar parity-oracle path — must hold absolutely;
-    * vector-only tiers (the scheduler-bound ``queue`` tier, whose
-      object-kernel run would take hours) are gated on their events/sec
-      normalized by the same report's ``ci`` vector events/sec, and
-      their trajectory (event count and makespan, deterministic per
-      scenario/seed) must match the committed baseline exactly — the
-      correctness pin standing in for the missing same-run comparison.
+    One rule for every tier present in both reports: the trajectory
+    (``events`` and ``makespan_min``) must equal the baseline's, and
+    events/sec times the same run's calibration-loop seconds — events
+    per calibration loop, a figure runner hardware cancels out of — may
+    fall at most ``max_regression`` below the baseline's.
     """
     for tier, entry in sorted(pr.get("tiers", {}).items()):
         reference = base.get("tiers", {}).get(tier)
-        if "object" not in entry:
-            check_vector_only_tier(tier, entry, pr, reference, base,
-                                   max_regression, failures)
-            continue
-        if entry.get("kernels_agree") is not True:
-            failures.append(f"throughput tier {tier!r}: vector and object "
-                            f"kernels diverge — the batched scoring path "
-                            f"no longer reproduces the scalar oracle "
-                            f"(kernels_agree is not true)")
-            continue
-        if reference is None or "vector_speedup" not in reference:
+        if reference is None:
             print(f"throughput tier {tier!r}: no committed reference; "
-                  f"skipping the events/sec gate")
+                  f"skipping the gate")
             continue
-        pr_speedup = float(entry["vector_speedup"])
-        base_speedup = float(reference["vector_speedup"])
-        regression = pr_speedup / base_speedup - 1.0
-        print(f"throughput tier {tier!r}: vector kernel at "
-              f"{pr_speedup:.2f}x the object kernel's events/sec "
-              f"(baseline {base_speedup:.2f}x, {regression:+.1%}; "
-              f"budget -{max_regression:.0%})")
-        if pr_speedup < base_speedup * (1.0 - max_regression):
+        if (entry.get("events") != reference.get("events")
+                or entry.get("makespan_min") != reference.get("makespan_min")):
+            failures.append(
+                f"throughput tier {tier!r}: trajectory diverges from the "
+                f"committed baseline (events {entry.get('events')} vs "
+                f"{reference.get('events')}, makespan "
+                f"{entry.get('makespan_min')} vs "
+                f"{reference.get('makespan_min')}) — refresh the baseline "
+                f"only if the behaviour change is intended")
+            continue
+        try:
+            pr_norm = (float(entry["events_per_s"])
+                       * float(entry["calibration_s"]))
+            base_norm = (float(reference["events_per_s"])
+                         * float(reference["calibration_s"]))
+            regression = pr_norm / base_norm - 1.0
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            failures.append(f"throughput tier {tier!r}: a report lacks "
+                            f"events_per_s/calibration_s")
+            continue
+        print(f"throughput tier {tier!r}: {pr_norm:,.1f} events per "
+              f"calibration loop (baseline {base_norm:,.1f}, "
+              f"{regression:+.1%}; budget -{max_regression:.0%})")
+        if pr_norm < base_norm * (1.0 - max_regression):
             failures.append(
                 f"throughput tier {tier!r}: normalized events/sec "
                 f"regression {regression:+.1%} exceeds the "
                 f"{max_regression:.0%} budget")
-
-
-def check_vector_only_tier(tier: str, entry: dict, pr: dict,
-                           reference: dict | None, base: dict,
-                           max_regression: float,
-                           failures: list[str]) -> None:
-    """Gate a tier measured on the vector kernel only (see above)."""
-    vector = entry.get("vector")
-    if vector is None:
-        print(f"throughput tier {tier!r}: no vector run recorded; skipping")
-        return
-    if reference is not None and "vector" in reference:
-        ref_vector = reference["vector"]
-        if (vector.get("events") != ref_vector.get("events")
-                or vector.get("makespan_min") != ref_vector.get("makespan_min")):
-            failures.append(
-                f"throughput tier {tier!r}: trajectory diverges from the "
-                f"committed baseline (events "
-                f"{vector.get('events')} vs {ref_vector.get('events')}, "
-                f"makespan {vector.get('makespan_min')} vs "
-                f"{ref_vector.get('makespan_min')}) — refresh the baseline "
-                f"only if the behaviour change is intended")
-    norm_tier = "ci"
-    try:
-        pr_norm = (float(vector["events_per_s"])
-                   / float(pr["tiers"][norm_tier]["vector"]["events_per_s"]))
-        base_norm = (float(reference["vector"]["events_per_s"])
-                     / float(base["tiers"][norm_tier]["vector"]["events_per_s"]))
-    except (KeyError, TypeError, ZeroDivisionError):
-        print(f"throughput tier {tier!r}: missing {norm_tier!r} vector "
-              f"reference in a report; skipping the events/sec gate")
-        return
-    regression = pr_norm / base_norm - 1.0
-    print(f"throughput tier {tier!r}: vector events/sec at {pr_norm:.3f}x "
-          f"the {norm_tier!r} tier's (baseline {base_norm:.3f}x, "
-          f"{regression:+.1%}; budget -{max_regression:.0%})")
-    if pr_norm < base_norm * (1.0 - max_regression):
-        failures.append(
-            f"throughput tier {tier!r}: normalized events/sec regression "
-            f"{regression:+.1%} exceeds the {max_regression:.0%} budget")
 
 
 def check_rollout(pr: dict, base: dict, max_regression: float,

@@ -1,6 +1,7 @@
 """Unit tests for the events/sec gate in ``benchmarks/compare_baseline.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -10,148 +11,79 @@ compare_baseline = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_baseline)
 
 
-def tier(speedup: float, agree: bool = True,
-         object_eps: float = 1000.0) -> dict:
-    """A two-kernel tier entry: gated on ``vector_speedup``."""
-    return {"kernels_agree": agree, "vector_speedup": speedup,
-            "object": {"kernel": "object", "events_per_s": object_eps},
-            "vector": {"kernel": "vector",
-                       "events_per_s": object_eps * speedup}}
+def tier(events_per_s: float, calibration_s: float = 0.1,
+         events: int = 80_000, makespan: float = 121.0) -> dict:
+    """One tier entry: trajectory-pinned, calibration-normalized."""
+    return {"events_per_s": events_per_s, "calibration_s": calibration_s,
+            "events": events, "makespan_min": makespan}
 
 
-def queue_tier(events_per_s: float, events: int = 80_000,
-               makespan: float = 121.0) -> dict:
-    """A vector-only tier entry: trajectory-pinned, ci-normalized."""
-    return {"vector": {"kernel": "vector", "events_per_s": events_per_s,
-                       "events": events, "makespan_min": makespan}}
-
-
-def report(ci_speedup: float = 3.0, queue_eps: float | None = None,
-           **queue_kwargs) -> dict:
-    tiers = {"ci": tier(ci_speedup)}
-    if queue_eps is not None:
-        tiers["queue"] = queue_tier(queue_eps, **queue_kwargs)
-    return {"tiers": tiers}
+def gate(pr_tiers: dict, base_tiers: dict) -> list[str]:
+    failures: list = []
+    compare_baseline.check_throughput({"tiers": pr_tiers},
+                                      {"tiers": base_tiers}, 0.15, failures)
+    return failures
 
 
 class TestThroughputGate:
+    def test_identical_reports_pass(self):
+        assert gate({"ci": tier(5000.0)}, {"ci": tier(5000.0)}) == []
+
     def test_small_regression_within_budget_passes(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"ci": tier(2.9)}}, {"tiers": {"ci": tier(3.0)}},
-            0.15, failures)
-        assert failures == []
+        assert gate({"ci": tier(4500.0)}, {"ci": tier(5000.0)}) == []
 
     def test_regression_beyond_budget_fails(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"ci": tier(2.0)}}, {"tiers": {"ci": tier(3.0)}},
-            0.15, failures)
-        assert len(failures) == 1 and "events/sec" in failures[0]
+        failures = gate({"ci": tier(2500.0)}, {"ci": tier(5000.0)})
+        assert len(failures) == 1 and "normalized events/sec" in failures[0]
 
-    def test_kernel_divergence_fails_regardless_of_speed(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"ci": tier(9.9, agree=False)}},
-            {"tiers": {"ci": tier(3.0)}}, 0.15, failures)
-        assert len(failures) == 1 and "diverge" in failures[0]
-
-    def test_missing_baseline_tier_is_skipped_not_failed(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"mega": tier(12.0)}}, {"tiers": {"ci": tier(3.0)}},
-            0.15, failures)
-        assert failures == []
+    def test_uniformly_slower_runner_passes(self):
+        # Half the events/sec, but the calibration loop also took twice
+        # as long in the same process: hardware, not a regression.
+        assert gate({"ci": tier(2500.0, calibration_s=0.2)},
+                    {"ci": tier(5000.0, calibration_s=0.1)}) == []
 
     def test_improvement_always_passes(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"ci": tier(4.5), "mega": tier(15.0)}},
-            {"tiers": {"ci": tier(3.0), "mega": tier(13.0)}},
-            0.15, failures)
-        assert failures == []
+        assert gate({"ci": tier(9000.0), "mega": tier(20_000.0)},
+                    {"ci": tier(5000.0), "mega": tier(15_000.0)}) == []
+
+    def test_trajectory_divergence_fails_regardless_of_speed(self):
+        failures = gate({"ci": tier(9000.0, events=80_001)},
+                        {"ci": tier(5000.0)})
+        assert len(failures) == 1 and "trajectory" in failures[0]
+
+    def test_makespan_divergence_fails(self):
+        failures = gate({"ci": tier(5000.0, makespan=122.0)},
+                        {"ci": tier(5000.0)})
+        assert len(failures) == 1 and "trajectory" in failures[0]
+
+    def test_missing_baseline_tier_is_skipped_not_failed(self):
+        assert gate({"mega": tier(5000.0)}, {"ci": tier(5000.0)}) == []
+
+    def test_missing_calibration_fails(self):
+        entry = tier(5000.0)
+        del entry["calibration_s"]
+        failures = gate({"ci": entry}, {"ci": tier(5000.0)})
+        assert len(failures) == 1 and "calibration_s" in failures[0]
 
     def test_committed_report_shape_feeds_the_gate(self):
         """The committed BENCH_throughput.json is a valid gate baseline."""
-        import json
-
         committed = json.loads((ROOT / "BENCH_throughput.json").read_text())
         failures: list = []
         compare_baseline.check_throughput(committed, committed, 0.15,
                                           failures)
         assert failures == []
+        prior = committed["prerefactor_baseline"]
         # The PR 6 tentpole acceptance: the mega tier runs several times
-        # the object-per-epoch kernel's events/sec at the same commit,
-        # bit for bit.  (The margin narrowed when PR 7 moved the pending
-        # and application queues into ClusterState — the *object* kernel
-        # shares those arrays, so the denominator got faster too.)
-        assert committed["tiers"]["mega"]["vector_speedup"] >= 5.0
-        assert committed["tiers"]["mega"]["kernels_agree"] is True
+        # the object-per-epoch kernel's events/sec on the same trajectory.
+        mega = committed["tiers"]["mega"]
+        assert mega["events"] == prior["mega"]["events"]
+        assert mega["events_per_s"] >= 5.0 * prior["mega"]["events_per_s"]
         # The PR 7 tentpole acceptance: the scheduler-bound queue tier
         # runs >= 3x the pre-PR events/sec (same scenario shape, both
         # runs recorded in the committed report), with the per-phase
         # breakdown present.
-        queue = committed["tiers"]["queue"]["vector"]
-        prior = committed["prerefactor_baseline"]["queue"]
-        assert queue["events_per_s"] >= 3.0 * prior["events_per_s"]
-        assert set(queue["phases_s"]) == {"arrivals", "faults", "schedule",
-                                          "advance", "other"}
-
-
-class TestVectorOnlyTierGate:
-    """The scheduler-bound queue tier: trajectory pin + ci-normalized gate."""
-
-    def test_identical_reports_pass(self):
-        failures: list = []
-        doc = report(queue_eps=5000.0)
-        compare_baseline.check_throughput(doc, doc, 0.15, failures)
-        assert failures == []
-
-    def test_trajectory_divergence_fails(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            report(queue_eps=5000.0, events=80_001),
-            report(queue_eps=5000.0, events=80_000), 0.15, failures)
-        assert len(failures) == 1 and "trajectory" in failures[0]
-
-    def test_makespan_divergence_fails(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            report(queue_eps=5000.0, makespan=122.0),
-            report(queue_eps=5000.0, makespan=121.0), 0.15, failures)
-        assert len(failures) == 1 and "trajectory" in failures[0]
-
-    def test_normalized_regression_beyond_budget_fails(self):
-        # Queue events/sec halves while the same report's ci tier is
-        # unchanged: a genuine scheduling-path regression, not hardware.
-        failures: list = []
-        compare_baseline.check_throughput(
-            report(queue_eps=2500.0), report(queue_eps=5000.0),
-            0.15, failures)
-        assert len(failures) == 1 and "normalized events/sec" in failures[0]
-
-    def test_uniformly_slower_runner_passes(self):
-        # Both the queue tier and its ci normalizer slow down 2x (the
-        # object runs too, keeping vector_speedup fixed): hardware, not
-        # a regression.
-        slower = {"tiers": {"ci": tier(3.0, object_eps=500.0),
-                            "queue": queue_tier(2500.0)}}
-        failures: list = []
-        compare_baseline.check_throughput(
-            slower, report(queue_eps=5000.0), 0.15, failures)
-        assert failures == []
-
-    def test_missing_ci_normalizer_skips_gate(self):
-        failures: list = []
-        compare_baseline.check_throughput(
-            {"tiers": {"queue": queue_tier(5000.0)}},
-            {"tiers": {"queue": queue_tier(5000.0)}}, 0.15, failures)
-        assert failures == []
-
-    def test_missing_baseline_trajectory_is_not_pinned(self):
-        # First-ever run of a new vector-only tier: no reference entry,
-        # the gate prints a skip instead of failing.
-        failures: list = []
-        compare_baseline.check_throughput(
-            report(queue_eps=5000.0), report(), 0.15, failures)
-        assert failures == []
+        queue = committed["tiers"]["queue"]
+        assert queue["events"] == prior["queue"]["events"]
+        assert queue["events_per_s"] >= 3.0 * prior["queue"]["events_per_s"]
+        assert set(queue["phases_s"]) == {"arrivals", "faults", "oom",
+                                          "schedule", "advance", "other"}
