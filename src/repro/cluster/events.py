@@ -249,12 +249,12 @@ class SchedulerWake(Event):
 
 
 class SampleBatch:
-    """Column-oriented per-node usage rows (the vector kernel's payload).
+    """Column-oriented per-node usage rows (the engines' usual payload).
 
     Behaves exactly like the row-oriented
     ``((node_id, memory_gb, cpu_load, utilization_percent), ...)`` tuple
-    the object kernel publishes — iteration and indexing materialise the
-    rows lazily — but hot subscribers can read the ``node_ids`` /
+    the fixed engine publishes on OOM steps — iteration and indexing
+    materialise the rows lazily — but hot subscribers can read the ``node_ids`` /
     ``memory`` / ``cpu`` / ``util`` columns directly and skip the
     O(nodes) tuple fan-out per epoch entirely.  The float64 columns
     round-trip to the identical Python floats the row form would carry,
@@ -294,9 +294,9 @@ class ClusterSample(Event):
     covers (a single step for the fixed-step engine, a whole jump for
     the event engine); ``samples`` holds one
     ``(node_id, memory_gb, cpu_load, utilization_percent)`` row per
-    cluster node, constant across the interval — either a tuple of
-    tuples (object kernel) or an equivalent :class:`SampleBatch`
-    (vector kernel).  Subscribers — the resource monitor, the
+    cluster node, constant across the interval — an array-backed
+    :class:`SampleBatch`, or a tuple of tuples on fixed-engine steps that
+    resolve an OOM kill.  Subscribers — the resource monitor, the
     utilisation trace recorder, streaming utilisation statistics — fan
     the batch out however they need.
     """

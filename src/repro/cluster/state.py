@@ -71,8 +71,7 @@ EXEC_DTYPE = np.dtype([
 #: written once at submission (profiling-window expiry); ``unassigned_gb``
 #: and ``finished`` are dual-written by the SparkApplication mutators
 #: (``take_unassigned``/``return_unassigned``/``mark_finished``), so the
-#: waiting-queue scans of the vector kernel are column masks instead of
-#: per-object loops.
+#: waiting-queue scans are column masks instead of per-object loops.
 APP_DTYPE = np.dtype([
     ("ready_time", np.float64),
     ("unassigned_gb", np.float64),
@@ -261,9 +260,9 @@ class ClusterState:
     def refresh_dirty(self) -> None:
         """Re-run the per-node refresh for every dirty node.
 
-        The refresh itself stays a Python sum in executor insertion
-        order — bit-for-bit what the per-object path computes — and
-        writes the aggregates into the node columns as a side effect.
+        The refresh is ``Node._refresh``: a Python sum in executor
+        insertion order, which writes the aggregates into the node
+        columns as a side effect.
         """
         if not self._dirty_nodes:
             return

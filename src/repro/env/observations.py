@@ -308,8 +308,8 @@ class ObservationBuilder:
 
         Fills the learned featurizer's ``EpochSnapshot`` straight from
         the kernel's :class:`~repro.cluster.state.ClusterState` columns
-        (via the version-cached ``NodeFeatures`` epoch snapshot on the
-        vector kernel), skipping the per-job/per-node dataclass tuples
+        (via the version-cached ``NodeFeatures`` epoch snapshot),
+        skipping the per-job/per-node dataclass tuples
         and the per-node monitor queries :meth:`build` pays.  The
         resulting arrays are bit-identical to running
         ``snapshot_from_observation`` on :meth:`build`'s output.

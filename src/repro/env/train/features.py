@@ -19,7 +19,7 @@ module is that single source of truth:
   candidates are never materialised — the same convention as
   ``score_batch``'s NaN mask, applied at row-construction time.
 
-Two rules keep the learned scheme equal across engines and kernels:
+Two rules keep the learned scheme equal across engines:
 
 1. **Reservation-side only.**  Features read the scheduler's own
    bookkeeping (reserved memory/CPU), never the resource monitor's
@@ -187,8 +187,7 @@ def snapshot_from_context(ctx, allocation_policy) -> EpochSnapshot:
     Iterates ``ctx.waiting_apps()`` (submission order — the order
     :attr:`~repro.env.Observation.ready_jobs` preserves) and the cluster
     node list, reading only reservation-side state, so the arrays equal
-    :func:`snapshot_from_observation`'s for the same paused simulation
-    on either kernel.
+    :func:`snapshot_from_observation`'s for the same paused simulation.
     """
     jobs = []
     for app in ctx.waiting_apps():
@@ -217,8 +216,8 @@ def snapshot_from_context(ctx, allocation_policy) -> EpochSnapshot:
 def snapshot_from_state(ctx, allocation_policy) -> EpochSnapshot:
     """Build the snapshot straight from the kernel's state columns.
 
-    The fast-path constructor behind ``obs_mode="features"``: on the
-    vector kernel the node arrays are gathered from the cached
+    The fast-path constructor behind ``obs_mode="features"``: the node
+    arrays are gathered from the cached
     :class:`~repro.cluster.simulator.NodeFeatures` epoch snapshot (one
     boolean-mask gather per column) instead of one Python attribute
     read per node.  Every gathered column is written by
@@ -227,12 +226,9 @@ def snapshot_from_state(ctx, allocation_policy) -> EpochSnapshot:
     derived columns use the same elementwise float64 expressions
     (``max(ram - reserved, 0)``, ``1 - reserved_cpu``), so the arrays
     are bit-identical to :func:`snapshot_from_context`'s — the property
-    tests pin it.  On the object kernel (no column mirror) this falls
-    back to the per-object walk.
+    tests pin it.
     """
     features = ctx.node_features()
-    if features is None:
-        return snapshot_from_context(ctx, allocation_policy)
     jobs = []
     for app in ctx.waiting_apps():
         spec = ctx.spec_of(app)

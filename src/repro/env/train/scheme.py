@@ -14,12 +14,10 @@ environment; here a policy born in the environment is mounted inside the
 * :class:`LearnedScheduler` — a native
   :class:`~repro.scheduling.base.Scheduler` whose ``schedule()`` builds
   the snapshot from the live context and applies ``decide_epoch``'s
-  placements.  The snapshot build is array-backed on the vector kernel
-  (``snapshot_from_state`` gathers the ``NodeFeatures`` columns) and a
-  scalar walk on the object kernel; both read the same reservation-side
-  numbers, so vector/object trajectories are bit-identical — and its
-  features are reservation-side and time-free, so fixed/event engine
-  trajectories are too.
+  placements.  The snapshot build is array-backed
+  (``snapshot_from_state`` gathers the ``NodeFeatures`` columns), and
+  its features are reservation-side and time-free, so fixed/event
+  engine trajectories are bit-identical.
 * :class:`LearnedPolicy` — the environment-side twin, used for training
   rollouts (sampling) and ``env-rollout --policy learned[:ckpt]``.  Its
   ``act`` builds the snapshot from the typed Observation; because both
@@ -143,8 +141,8 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
     (most-free node, half its free memory — Pairwise's first-executor
     convention).  This keeps episodes finite under an untrained or
     degenerate policy; the fallback is a pure function of the snapshot
-    and runs in both serving paths, so env/native and engine/kernel
-    parity are unaffected, and it is never recorded in the trace (it is
+    and runs in both serving paths, so env/native and engine parity
+    are unaffected, and it is never recorded in the trace (it is
     not a sample from the policy distribution).
 
     ``row_cache=True`` (default) reuses candidate feature rows across
@@ -246,9 +244,6 @@ class LearnedScheduler(Scheduler):
         apps = {app.name: app for app in ctx.waiting_apps()}
         if not apps:
             return
-        # Array-backed on the vector kernel, scalar walk on the object
-        # kernel — bit-identical either way (the kernel-parity grids in
-        # the test suite pin it).
         snapshot = snapshot_from_state(ctx, self.allocation_policy)
         if snapshot.free_gb.shape[0] == 0:
             return

@@ -87,15 +87,12 @@ class MemoryAwareCoLocationScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> None:
         features = ctx.node_features()
-        if features is not None and not (
-                features.up & (features.free_gb >= self.min_free_gb)).any():
+        if not (features.up & (features.free_gb >= self.min_free_gb)).any():
             # No live node clears the minimum-free bar, so no placement
-            # pass below could spawn anything (each scan would break at
-            # its first node); the scalar walk is side-effect-free in
-            # that case, so skip the waiting queue entirely.
+            # pass below could spawn anything: skip the waiting queue.
             return
         waiting = ctx.waiting_apps()
-        if features is not None and waiting:
+        if waiting:
             self._prefetch_footprints(waiting)
         # The paper's dispatcher starts waiting applications as soon as
         # possible instead of letting already-running jobs absorb every
@@ -106,12 +103,12 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         # work-conserving without letting the oldest job starve the rest.
         for app in waiting:
             if not app.executors:
-                self._schedule_app(ctx, app, max_new_executors=1)
+                self._place_one(ctx, app)
         progressed = True
         while progressed:
             progressed = False
             for app in waiting:
-                if self._schedule_app(ctx, app, max_new_executors=1):
+                if self._place_one(ctx, app):
                     progressed = True
 
     def on_cluster_change(self, ctx: SchedulingContext, event) -> None:
@@ -164,8 +161,14 @@ class MemoryAwareCoLocationScheduler(Scheduler):
         for key, value in zip(keys, predicted):
             self._predicted_gb[key] = float(value) * self.safety_margin
 
-    def _schedule_app(self, ctx: SchedulingContext, app: SparkApplication,
-                      max_new_executors: int | None = None) -> int:
+    def _place_one(self, ctx: SchedulingContext,
+                   app: SparkApplication) -> int:
+        """Spawn at most one executor for ``app``; returns the spawn count.
+
+        Candidates are visited in descending free-memory order.  Until
+        the one spawn happens nothing mutates, so the share and the
+        feature snapshot stay constant through the scan.
+        """
         # The executor target follows the *remaining* data (in-flight plus
         # unassigned), the way Spark's dynamic allocation follows the number
         # of pending tasks; this also prevents the final sliver of an
@@ -174,52 +177,10 @@ class MemoryAwareCoLocationScheduler(Scheduler):
             max(app.remaining_gb, 1e-3)
         )
         active = len(app.active_executors)
-        if active >= desired:
+        if active >= desired or app.unassigned_gb <= 1e-6:
             return 0
         features = ctx.node_features()
-        if features is not None and max_new_executors == 1:
-            scores = self.score_batch(ctx, app, features)
-            if scores is not None:
-                return self._place_one_vector(ctx, app, features, scores,
-                                              desired, active)
-        cpu_load = self.estimator.cpu_load(app.name)
-        spawned = 0
-        for node in ctx.cluster.nodes_by_free_memory():
-            if active >= desired or app.unassigned_gb <= 1e-6:
-                break
-            if max_new_executors is not None and spawned >= max_new_executors:
-                break
-            free_gb = node.free_reserved_memory_gb
-            if free_gb < self.min_free_gb:
-                # Nodes are sorted by free memory, so no later node fits.
-                break
-            if node.reserved_cpu_load + cpu_load > 1.0 + 1e-9:
-                continue
-            share = app.unassigned_gb / max(desired - active, 1)
-            budget, data = self._size_executor(app.name, share, free_gb)
-            # Never starve an application's final sliver of data: the
-            # minimum-chunk rule only applies while larger chunks remain.
-            if data < min(self.min_data_gb, app.unassigned_gb - 1e-9):
-                continue
-            executor = ctx.spawn_executor(app, node.node_id, budget, data)
-            if executor is not None:
-                active += 1
-                spawned += 1
-        return spawned
-
-    def _place_one_vector(self, ctx: SchedulingContext,
-                          app: SparkApplication, features: NodeFeatures,
-                          scores: np.ndarray, desired: int,
-                          active: int) -> int:
-        """Column-scored form of the single-spawn scan above.
-
-        Valid only for ``max_new_executors == 1``: until the one spawn
-        happens nothing mutates, so the share and the feature snapshot
-        stay constant through the scan — exactly like the scalar loop,
-        which breaks right after its first successful spawn.
-        """
-        if app.unassigned_gb <= 1e-6:
-            return 0
+        scores = self.score_batch(ctx, app, features)
         for slot in features.ranked(scores).tolist():
             free_gb = float(features.free_gb[slot])
             share = app.unassigned_gb / max(desired - active, 1)
@@ -238,11 +199,9 @@ class MemoryAwareCoLocationScheduler(Scheduler):
                     features: NodeFeatures) -> np.ndarray:
         """Free memory as the score, NaN where the admission rules fail.
 
-        The NaN mask is the scalar scan's skip set: down nodes, nodes
-        under ``min_free_gb`` (the scalar loop breaks there — on a
-        descending free-memory scan every later node fails too, so the
-        mask removes exactly the broken-out suffix), and nodes whose
-        aggregate CPU would exceed 100 % with this application added.
+        The NaN mask drops down nodes, nodes under ``min_free_gb``, and
+        nodes whose aggregate CPU would exceed 100 % with this
+        application added.
         """
         cpu_load = self.estimator.cpu_load(app.name)
         eligible = (features.up

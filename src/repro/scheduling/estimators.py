@@ -69,10 +69,10 @@ class MemoryEstimator(ABC):
         epoch covering every waiting application, instead of one
         ``footprint_gb`` call per application per node scan.  Overrides
         may vectorize internally, but MUST return values bit-identical to
-        per-row ``footprint_gb`` calls: the batched results feed the same
-        placement decisions the scalar parity-oracle path makes from
-        per-row calls, and any ulp of drift would fork the two
-        trajectories.  (Notably, pushing a multi-row matrix through a
+        per-row ``footprint_gb`` calls: the batched results fill the same
+        footprint memo the dispatcher's per-row fallback fills, and any
+        ulp of drift would make a placement depend on which call got
+        there first.  (Notably, pushing a multi-row matrix through a
         BLAS-backed matmul is *not* bit-stable against the equivalent
         row-at-a-time products — see ``ANNUnifiedEstimator``.)
         """
@@ -272,8 +272,8 @@ class ANNUnifiedEstimator(MemoryEstimator):
         The network forward pass stays row-at-a-time on purpose: BLAS
         dispatches different kernels (and accumulation orders) for
         matrix-matrix versus row-vector products, so predicting the whole
-        batch in one matmul drifts from the scalar path by an ulp — and
-        an ulp in a footprint forks placement against the parity oracle.
+        batch in one matmul drifts from per-row calls by an ulp — and an
+        ulp in a footprint forks a placement.
         """
         if len(app_names) == 0:
             return np.zeros(0)

@@ -9,8 +9,8 @@ from the same registry, watches the cluster through streaming
 :class:`ContextSignals` derived from the typed event bus, and hot-swaps
 the *active* inner scheme at epoch boundaries under a hysteresis rule.
 
-Engine/kernel parity contract
------------------------------
+Engine parity contract
+----------------------
 Both engines must produce bit-for-bit identical trajectories with a meta
 scheme active, so the switch decision is a **pure function of
 (simulated time, retained-event history, live cluster state)**:

@@ -8,6 +8,7 @@ rewards, STP), and gradient accumulation to numerical precision.  This
 file is where those contracts are pinned.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -37,8 +38,8 @@ def run_learned(scenario: str, seed: int, obs_mode: str, *,
            if sample_seed is not None else None)
     policy = LearnedPolicy(record_trace=True, sample_rng=rng,
                            row_cache=(obs_mode == "features"))
-    result = rollout(scenario, policy, seed=seed, kernel="vector",
-                     record_rewards=True, obs_mode=obs_mode,
+    result = rollout(scenario, policy, seed=seed, record_rewards=True,
+                     obs_mode=obs_mode,
                      record_utilization=(obs_mode == "dataclass"))
     return result.steps, result.stp, tuple(result.rewards), policy.trace
 
@@ -83,7 +84,7 @@ class TestFastObservationParity:
         results = {}
         for obs_mode in ("dataclass", "features"):
             result = rollout("churn20", PolicyAdapter("pairwise"), seed=11,
-                             kernel="vector", obs_mode=obs_mode,
+                             obs_mode=obs_mode,
                              record_utilization=(obs_mode == "dataclass"))
             results[obs_mode] = (result.steps, result.stp)
         assert results["dataclass"] == results["features"]
@@ -110,7 +111,7 @@ class TestSpeedColumnInvalidation:
     """
 
     def test_set_speed_moves_the_state_version(self):
-        env = SchedulingEnv("churn20", kernel="vector")
+        env = SchedulingEnv("churn20")
         policy = LearnedPolicy()
         policy.reset(11)
         env.reset(seed=11, scheduler_factory=policy.make_scheduler)
@@ -137,7 +138,7 @@ class TestSnapshotProperties:
         # both ways: from the typed observation and from the kernel's
         # state columns.  Rows must be bit-identical.
         policy = LearnedPolicy(sample_rng=np.random.default_rng(seed))
-        env = SchedulingEnv("churn20", kernel="vector")
+        env = SchedulingEnv("churn20")
         policy.reset(seed)
         observation = env.reset(seed=seed,
                                 scheduler_factory=policy.make_scheduler)
@@ -289,6 +290,18 @@ class TestGemmUpdate:
         payload = TrainConfig().to_dict()
         del payload["update_mode"]
         assert TrainConfig.from_dict(payload).update_mode == "rows"
+
+    def test_committed_curve_config_with_kernel_key_loads(self):
+        # The committed training curve predates the single kernel and
+        # still records the retired "kernel" field; it must load as-is.
+        from repro.env.train.scheme import DEFAULT_CHECKPOINT
+
+        curve = DEFAULT_CHECKPOINT.with_name("default_curve.json")
+        payload = json.loads(curve.read_text())["config"]
+        assert payload["kernel"] == "vector"
+        config = TrainConfig.from_dict(payload)
+        assert "kernel" not in config.to_dict()
+        assert config.iters == payload["iters"]
 
     def test_iteration_timings_do_not_break_curve_equality(self):
         a = IterationStats(iteration=1, mean_return=1.0, min_return=0.5,

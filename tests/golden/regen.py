@@ -91,7 +91,7 @@ def corpus_artefacts():
 
 
 def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
-                      seed: int = CORPUS_SEED, **simulator_kwargs) -> dict:
+                      seed: int = CORPUS_SEED) -> dict:
     """Digest one (scenario, scheme, engine) run for the corpus.
 
     Normalised through a JSON round-trip like :func:`make_trace`.
@@ -109,7 +109,7 @@ def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
     simulator = ClusterSimulator(cluster, scheduler, seed=seed,
                                  step_mode=engine,
                                  max_time_min=spec.max_time_min,
-                                 faults=spec.faults, **simulator_kwargs)
+                                 faults=spec.faults)
     jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
     result = simulator.run(jobs)
     evaluation = evaluate_schedule(result, jobs, policy)
@@ -126,15 +126,14 @@ def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
     return json.loads(json.dumps(entry))
 
 
-def make_corpus(progress=None, **simulator_kwargs) -> dict:
+def make_corpus(progress=None) -> dict:
     """The whole corpus document, one run per :func:`corpus_cases` entry."""
     artefacts = corpus_artefacts()
     entries = {}
     for case in corpus_cases():
         if progress is not None:
             progress(corpus_key(*case))
-        entries[corpus_key(*case)] = make_corpus_entry(
-            *case, artefacts, **simulator_kwargs)
+        entries[corpus_key(*case)] = make_corpus_entry(*case, artefacts)
     return {"seed": CORPUS_SEED, "entries": entries}
 
 
@@ -237,9 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def corpus_main(regen: bool) -> int:
-    # Generated from the per-object kernel, the historical parity oracle.
-    corpus = make_corpus(progress=lambda key: print(key, flush=True),
-                         kernel="object")
+    corpus = make_corpus(progress=lambda key: print(key, flush=True))
     if regen:
         CORPUS_PATH.write_text(json.dumps(corpus, indent=1) + "\n")
         print(f"wrote {CORPUS_PATH.relative_to(GOLDEN_DIR.parent.parent)}")

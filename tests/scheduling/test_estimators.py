@@ -133,8 +133,7 @@ class TestFootprintBatch:
     ``footprint_batch`` is the contract behind the co-location
     dispatcher's per-epoch prefetch: any ulp of drift between a batched
     prediction and the equivalent ``footprint_gb`` call would fork a
-    placement against the scalar parity oracle, so equality here is
-    exact (``==``), never approximate.
+    placement, so equality here is exact (``==``), never approximate.
     """
 
     QUERIES = [("BDB.PageRank", 20.0), ("HB.PageRank", 3.5),
