@@ -5,7 +5,6 @@ pieces of Spark that the paper's scheduler interacts with:
 
 * :mod:`repro.spark.rdd` — resilient distributed datasets split into
   partitions, the unit of work distribution;
-* :mod:`repro.spark.dag` — the stage DAG derived from RDD lineage;
 * :mod:`repro.spark.application` — a running application: a benchmark, its
   input RDD, its executors and its progress;
 * :mod:`repro.spark.executor` — an executor process with a heap budget, a
@@ -15,7 +14,6 @@ pieces of Spark that the paper's scheduler interacts with:
 """
 
 from repro.spark.rdd import Partition, RDD
-from repro.spark.dag import StageDAG, build_lineage_dag
 from repro.spark.executor import Executor, ExecutorState
 from repro.spark.application import ApplicationState, SparkApplication
 from repro.spark.driver import DynamicAllocationPolicy
@@ -23,8 +21,6 @@ from repro.spark.driver import DynamicAllocationPolicy
 __all__ = [
     "Partition",
     "RDD",
-    "StageDAG",
-    "build_lineage_dag",
     "Executor",
     "ExecutorState",
     "ApplicationState",

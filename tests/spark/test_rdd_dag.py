@@ -1,10 +1,10 @@
-"""Tests for the RDD and stage-DAG models."""
+"""Tests for the RDD model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spark import RDD, Partition, StageDAG, build_lineage_dag
+from repro.spark import RDD, Partition
 
 
 class TestPartition:
@@ -62,43 +62,3 @@ class TestRDD:
         rdd = RDD.from_input_size("data", total_gb=total)
         assert sum(p.size_gb for p in rdd.partitions) == pytest.approx(total, rel=1e-9)
 
-
-class TestStageDAG:
-    def test_single_stage_has_unit_work(self):
-        dag = StageDAG.single_stage()
-        assert dag.work_fraction == {"scan": 1.0}
-        assert dag.critical_path_length() == 1
-
-    def test_iterative_dag_is_a_chain(self):
-        dag = StageDAG.iterative(5)
-        assert dag.critical_path_length() == 5
-        assert dag.parallel_width() == 1
-
-    def test_iterative_rejects_zero_iterations(self):
-        with pytest.raises(ValueError):
-            StageDAG.iterative(0)
-
-    def test_work_fractions_are_normalised(self):
-        dag = StageDAG.iterative(4)
-        assert sum(dag.work_fraction.values()) == pytest.approx(1.0)
-
-    def test_stages_are_topologically_ordered(self):
-        dag = StageDAG.iterative(3)
-        stages = dag.stages()
-        assert stages == ["iteration-0", "iteration-1", "iteration-2"]
-
-    def test_build_lineage_dag_rejects_cycles(self):
-        with pytest.raises(ValueError):
-            build_lineage_dag({"a": ("b",), "b": ("a",)})
-
-    def test_build_lineage_dag_edges_point_parent_to_child(self):
-        graph = build_lineage_dag({"child": ("parent",)})
-        assert graph.has_edge("parent", "child")
-
-    def test_diamond_dag_parallel_width(self):
-        graph = build_lineage_dag({
-            "left": ("root",), "right": ("root",), "sink": ("left", "right"),
-        })
-        dag = StageDAG(graph=graph)
-        assert dag.parallel_width() == 2
-        assert dag.critical_path_length() == 3
