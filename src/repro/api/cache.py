@@ -34,6 +34,14 @@ __all__ = ["CACHE_VERSION", "default_cache_dir", "suite_fingerprint",
 #: Bump when the pickle payload layout or training pipeline changes shape.
 CACHE_VERSION = 1
 
+#: What loading a truncated, corrupt or stale cache file raises: bad or
+#: cut-off pickle streams, unreadable files, classes or modules that no
+#: longer exist, garbled values fed to constructors, and payloads missing
+#: their keys.  Anything else is a bug and propagates.
+_UNREADABLE_CACHE = (pickle.UnpicklingError, EOFError, OSError,
+                     AttributeError, KeyError, ImportError, ValueError,
+                     TypeError)
+
 
 def default_cache_dir() -> Path:
     """The cache directory: ``$REPRO_CACHE_DIR`` or ``.cache/`` in the cwd."""
@@ -81,7 +89,7 @@ def load_or_train_suite(cache_dir: str | Path | None = None,
                     and payload.get("fingerprint") == fingerprint):
                 return SchedulerSuite(dataset=payload["dataset"],
                                       moe=payload["moe"])
-        except Exception:
+        except _UNREADABLE_CACHE:
             pass  # unreadable/corrupt cache: fall through and retrain
 
     suite = SchedulerSuite()

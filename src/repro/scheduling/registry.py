@@ -216,7 +216,7 @@ def registry_snapshot(picklable_only: bool = False) -> dict[str, SchemeInfo]:
     for name, info in _REGISTRY.items():
         try:
             pickle.dumps(info)
-        except Exception:
+        except (pickle.PicklingError, AttributeError, TypeError):
             continue
         snapshot[name] = info
     return snapshot

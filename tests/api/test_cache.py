@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.api import cache as cache_module
 from repro.api.cache import (
     CACHE_VERSION,
@@ -57,6 +59,34 @@ class TestLoadOrTrain:
             payload = pickle.load(handle)
         assert payload["version"] == CACHE_VERSION
         assert payload["fingerprint"] == suite_fingerprint()
+
+    def test_truncated_cache_retrains(self, tmp_path, monkeypatch):
+        load_or_train_suite(cache_dir=tmp_path)
+        path = suite_path(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        retrained = []
+        original = cache_module.SchedulerSuite.ensure_trained
+
+        def spy(self, schemes=None):
+            retrained.append(True)
+            return original(self, schemes)
+
+        monkeypatch.setattr(cache_module.SchedulerSuite, "ensure_trained",
+                            spy)
+        suite = load_or_train_suite(cache_dir=tmp_path)
+        assert suite.is_trained() and retrained == [True]
+        assert path.read_bytes() != blob[:len(blob) // 2]
+
+    def test_unexpected_load_error_propagates(self, tmp_path, monkeypatch):
+        load_or_train_suite(cache_dir=tmp_path)
+
+        def broken_load(handle):
+            raise RuntimeError("not a cache problem")
+
+        monkeypatch.setattr(cache_module.pickle, "load", broken_load)
+        with pytest.raises(RuntimeError, match="not a cache problem"):
+            load_or_train_suite(cache_dir=tmp_path)
 
     def test_stale_fingerprint_forces_retrain(self, tmp_path):
         load_or_train_suite(cache_dir=tmp_path)

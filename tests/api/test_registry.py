@@ -145,6 +145,40 @@ class TestWorkerRegistryShipping:
         _init_worker(blob)
         assert is_registered(temp_scheme)
 
+    def test_unpicklable_builder_is_left_out_of_the_snapshot(self):
+        from repro.scheduling.registry import registry_snapshot
+
+        def make_closure_builder():
+            def build(artefacts, **kwargs):
+                return PairwiseScheduler(**kwargs)
+            return build
+
+        register_scheme("test_closure_scheme")(make_closure_builder())
+        try:
+            assert "test_closure_scheme" in registry_snapshot()
+            snapshot = registry_snapshot(picklable_only=True)
+            assert "test_closure_scheme" not in snapshot
+            assert "pairwise" in snapshot
+        finally:
+            unregister_scheme("test_closure_scheme")
+
+    def test_unexpected_pickling_failure_propagates(self):
+        from repro.scheduling.registry import registry_snapshot
+
+        class BrokenBuilder:
+            def __call__(self, artefacts, **kwargs):
+                return PairwiseScheduler(**kwargs)
+
+            def __reduce__(self):
+                raise RuntimeError("builder state is broken")
+
+        register_scheme("test_broken_scheme")(BrokenBuilder())
+        try:
+            with pytest.raises(RuntimeError, match="broken"):
+                registry_snapshot(picklable_only=True)
+        finally:
+            unregister_scheme("test_broken_scheme")
+
     def test_merge_registry_never_clobbers_local_registrations(self):
         from repro.scheduling.registry import merge_registry, scheme_info
 
