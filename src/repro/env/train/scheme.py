@@ -48,7 +48,6 @@ from .features import (
     CandidateRowCache,
     EpochSnapshot,
     candidate_features,
-    snapshot_from_context,
     snapshot_from_observation,
     snapshot_from_state,
 )
