@@ -80,6 +80,47 @@ class TestGoldenEquivalence:
             assert fixed_kinds.count(kind) == event_kinds.count(kind)
 
 
+#: Where the engines are known to disagree (see docs/ARCHITECTURE.md,
+#: "Known engine divergence").  Strict: a fix must flip these to passing
+#: and move them into the equivalence tests above.
+KNOWN_DIVERGENCES = {
+    "pairwise": "after the OOM kills at t=125.5 the fixed engine re-spawns "
+                "at 126.0, the event engine only at its rescan tick 128.0 "
+                "(STP 18.533 fixed vs 18.566 event)",
+    "meta": "diverges on regime_shift even when the event engine wakes one "
+            "grid step after an OOM kill (STP 22.15 fixed vs 18.89 event); "
+            "cause not yet isolated",
+}
+
+
+@pytest.mark.parametrize("scheme", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+    for name, reason in KNOWN_DIVERGENCES.items()])
+def test_regime_shift_engines_agree(scheme):
+    from repro.api import SchedulerSuite
+    from repro.metrics.throughput import evaluate_schedule
+    from repro.scenarios import load_scenario
+    from repro.spark.driver import DynamicAllocationPolicy
+
+    spec = load_scenario("regime_shift")
+    jobs = spec.make_mixes(n_mixes=1, seed=7)[0]
+    suite = SchedulerSuite()
+    outcomes = {}
+    for engine in STEP_MODES:
+        cluster = spec.build_cluster()
+        policy = DynamicAllocationPolicy(max_executors=len(cluster))
+        simulator = ClusterSimulator(
+            cluster, suite.factory(scheme, allocation_policy=policy)(),
+            seed=7, step_mode=engine, max_time_min=spec.max_time_min,
+            faults=spec.faults)
+        result = simulator.run(jobs)
+        outcomes[engine] = (
+            {name: app.finish_time for name, app in result.apps.items()},
+            evaluate_schedule(result, jobs, policy).stp)
+    assert outcomes["event"] == outcomes["fixed"]
+
+
 class TestEventEngineBehaviour:
     def test_idle_scheduler_reaches_horizon_without_spinning(self):
         class IdleScheduler:
