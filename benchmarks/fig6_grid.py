@@ -10,13 +10,14 @@ Times the same scenario × scheme × mix grid under two configurations:
 Both configurations produce identical :class:`ScenarioResult` rows (the
 event engine replays the fixed-step trajectory exactly and the worker
 fan-out preserves cell order), which the script verifies before reporting
-the speedup.  Results are written as JSON for CI artifacts
-(``BENCH_pr.json``) and the committed reference (``BENCH_fig6_grid.json``).
+the speedup.  Results are written as JSON: the CI artifact
+(``BENCH_pr.json``) and, at smoke settings, the committed reference
+``BENCH_baseline.json`` that ``compare_baseline.py`` gates against.
 
 Usage::
 
-    python benchmarks/fig6_grid.py --output BENCH_fig6_grid.json
-    python benchmarks/fig6_grid.py --quick --workers 2 --output BENCH_pr.json
+    python benchmarks/fig6_grid.py --output BENCH_pr.json
+    python benchmarks/fig6_grid.py --quick --workers 2 --n-mixes 4 --output BENCH_baseline.json
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
                              "(default: 2)")
     parser.add_argument("--n-mixes", type=int, default=None, metavar="K",
                         help="mixes per scenario (default: 1 quick, 2 full)")
-    parser.add_argument("--output", default="BENCH_fig6_grid.json",
+    parser.add_argument("--output", default="BENCH_pr.json",
                         help="where to write the JSON report")
     parser.add_argument("--seed-baseline-s", type=float, default=None,
                         help="externally measured wall-clock of the same "

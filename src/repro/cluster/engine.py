@@ -123,12 +123,12 @@ class _EngineBase:
         self.phase_seconds: dict[str, float] = {
             "arrivals": 0.0, "faults": 0.0, "oom": 0.0, "schedule": 0.0,
             "advance": 0.0}
-        # Completion tracking: apps that might have become
-        # complete since the last finalisation pass.  Fed by the bus (an
-        # executor finishing is the only way an app's remaining work can
-        # reach zero; submission covers degenerate already-complete
-        # inputs), so finalisation touches candidates instead of every
-        # application every epoch.
+        # Completion tracking: apps that might have become complete since
+        # the last finalisation pass.  Fed by the bus (an executor
+        # finishing is the only way an app's remaining work can reach
+        # zero; submission covers degenerate already-complete inputs), so
+        # finalisation touches candidates instead of every application
+        # every epoch.
         self._completion_candidates: set[str] = set()
         self._n_finished = 0
         sim.events.subscribe(self._on_completion_event,

@@ -90,12 +90,9 @@ def corpus_artefacts():
                            moe=MixtureOfExperts.from_dataset(dataset))
 
 
-def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
-                      seed: int = CORPUS_SEED) -> dict:
-    """Digest one (scenario, scheme, engine) run for the corpus.
-
-    Normalised through a JSON round-trip like :func:`make_trace`.
-    """
+def simulate(scenario: str, scheme: str, seed: int, engine: str,
+             artefacts=None):
+    """One seeded run: (spec, jobs, allocation policy, result, metrics)."""
     from repro.cluster.simulator import ClusterSimulator
     from repro.metrics.throughput import evaluate_schedule
     from repro.scenarios import load_scenario
@@ -112,7 +109,17 @@ def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
                                  faults=spec.faults)
     jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
     result = simulator.run(jobs)
-    evaluation = evaluate_schedule(result, jobs, policy)
+    return spec, jobs, policy, result, evaluate_schedule(result, jobs, policy)
+
+
+def make_corpus_entry(scenario: str, scheme: str, engine: str, artefacts,
+                      seed: int = CORPUS_SEED) -> dict:
+    """Digest one (scenario, scheme, engine) run for the corpus.
+
+    Normalised through a JSON round-trip like :func:`make_trace`.
+    """
+    _, _, _, result, evaluation = simulate(scenario, scheme, seed, engine,
+                                           artefacts)
     stream = json.dumps([[e.kind.value, e.time, e.app, e.node_id]
                          for e in result.events.events],
                         separators=(",", ":"))
@@ -150,23 +157,10 @@ def make_trace(scenario: str, scheme: str, seed: int = SEED,
     a committed document compares exactly what the file stores (Python
     float repr round-trips bit-for-bit).
     """
-    from repro.cluster.simulator import ClusterSimulator
-    from repro.metrics.throughput import evaluate_schedule, matched_apps
-    from repro.scenarios import load_scenario
-    from repro.scheduling.registry import build_scheduler
-    from repro.spark.driver import DynamicAllocationPolicy
+    from repro.metrics.throughput import matched_apps
 
-    spec = load_scenario(scenario)
-    cluster = spec.build_cluster()
-    policy = DynamicAllocationPolicy(max_executors=len(cluster))
-    scheduler = build_scheduler(scheme, None, allocation_policy=policy)
-    simulator = ClusterSimulator(cluster, scheduler, seed=seed,
-                                 step_mode=engine,
-                                 max_time_min=spec.max_time_min,
-                                 faults=spec.faults)
-    jobs = spec.make_mixes(n_mixes=1, seed=seed)[0]
-    result = simulator.run(jobs)
-    evaluation = evaluate_schedule(result, jobs, policy)
+    spec, jobs, policy, result, evaluation = simulate(scenario, scheme, seed,
+                                                      engine)
 
     event_counts: dict[str, int] = {}
     for event in result.events.events:

@@ -21,9 +21,6 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks")
 
-#: Import names whose distribution is named differently.
-DISTRIBUTION_OF: dict[str, str] = {}
-
 
 def _requirement_names(requirements: list[str]) -> set[str]:
     """Distribution names of PEP 508 requirement strings, normalised."""
@@ -60,8 +57,7 @@ def _undeclared(folder: str, declared: set[str]) -> dict[str, list[str]]:
         for module in _imported_modules(path):
             if module in sys.stdlib_module_names or module in local:
                 continue
-            distribution = DISTRIBUTION_OF.get(module, module).lower()
-            if distribution not in declared:
+            if module.lower() not in declared:
                 missing.setdefault(module, []).append(
                     str(path.relative_to(ROOT)))
     return missing
