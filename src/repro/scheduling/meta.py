@@ -12,8 +12,10 @@ the *active* inner scheme at epoch boundaries under a hysteresis rule.
 Engine parity contract
 ----------------------
 Both engines must produce bit-for-bit identical trajectories with a meta
-scheme active, so the switch decision is a **pure function of
-(simulated time, retained-event history, live cluster state)**:
+scheme active (``regime_shift`` is a known, xfail-pinned exception; see
+"Known engine divergence" in ``docs/ARCHITECTURE.md``), so the switch
+decision is a **pure function of (simulated time, retained-event
+history, live cluster state)**:
 
 * :class:`ContextMonitor` consumes only *retained* event kinds (node
   down/up, executor killed/preempted/OOM, straggler onset/recovery) —
