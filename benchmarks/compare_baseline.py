@@ -28,9 +28,9 @@ the gate additionally checks, per tier present in both reports:
 * the trajectory — event count and makespan, deterministic per
   scenario/seed — equals the committed baseline's exactly;
 * events/sec may regress at most the same ``--max-regression``
-  fraction, normalized by the same process's calibration-loop time
-  (the gated quantity is ``events_per_s * calibration_s``), so runner
-  hardware cancels out.
+  fraction, normalized by the reference-slice time sampled during the
+  same run (the gated quantity is ``events_per_s * calibration_s``), so
+  runner hardware cancels out.
 
 When the rollout-throughput reports are passed (``--rollout`` /
 ``--rollout-baseline``, produced by ``benchmarks/rollout_throughput.py``),
@@ -77,9 +77,10 @@ def check_throughput(pr: dict, base: dict, max_regression: float,
 
     One rule for every tier present in both reports: the trajectory
     (``events`` and ``makespan_min``) must equal the baseline's, and
-    events/sec times the same run's calibration-loop seconds — events
-    per calibration loop, a figure runner hardware cancels out of — may
-    fall at most ``max_regression`` below the baseline's.
+    events/sec times the mean reference-slice seconds sampled during
+    the same run — events per reference slice, a figure runner hardware
+    cancels out of — may fall at most ``max_regression`` below the
+    baseline's.
     """
     for tier, entry in sorted(pr.get("tiers", {}).items()):
         reference = base.get("tiers", {}).get(tier)
@@ -107,8 +108,8 @@ def check_throughput(pr: dict, base: dict, max_regression: float,
             failures.append(f"throughput tier {tier!r}: a report lacks "
                             f"events_per_s/calibration_s")
             continue
-        print(f"throughput tier {tier!r}: {pr_norm:,.1f} events per "
-              f"calibration loop (baseline {base_norm:,.1f}, "
+        print(f"throughput tier {tier!r}: {pr_norm:,.2f} events per "
+              f"reference slice (baseline {base_norm:,.2f}, "
               f"{regression:+.1%}; budget -{max_regression:.0%})")
         if pr_norm < base_norm * (1.0 - max_regression):
             failures.append(

@@ -14,21 +14,36 @@ and jobs/sec per tier:
 * ``mega``  — ``mega_diurnal_10k``: 10k jobs over a replayed diurnal
   week on 1024 churning nodes, the headline throughput tier.
 
-Each tier runs :data:`RUNS` times and reports the fastest run.
-Events/sec is hardware-bound, so the tier also times
-:func:`calibration_loop` — a fixed piece of Python and NumPy work that
-never changes with the simulator — in the same process, before every
-run and after the last.  ``events_per_s * calibration_s`` (events per
-calibration loop, with the median loop time) is the machine-normalised
-figure the CI gate in ``compare_baseline.py`` compares; the event count
-and makespan are deterministic per scenario/seed and pin the
-trajectory.  ``--profile``
-adds each run's per-phase wall-clock breakdown (arrivals / faults / oom
-/ schedule / advance, read off the engine's always-on phase counters) so
-a regression can be attributed to the phase that caused it.  A
-``prerefactor_baseline`` section already present in the output file is
-carried over: the same scenario/seed/grid measured before the
-vectorization work, on the same machine as the committed numbers.
+Each tier runs :data:`RUNS` times.  Events/sec is hardware-bound, so
+every run is timed under ``perfbench/hostclock.py``'s
+:class:`CalibratedClock`, which interrupts the run every 20 ms to time
+a fixed reference slice of pure-Python work.  ``calibration_s`` is the
+run's mean slice time and ``events_per_s`` its events over the run's
+host seconds with the slices' own time left out; both come from the
+same run, so a host that slows down mid-run slows both.
+``events_per_s * calibration_s`` (events per reference slice) is the
+machine-normalised figure the CI gate in ``compare_baseline.py``
+compares, and the tier reports the run where it is highest: host noise
+only ever lowers it.  The event count and makespan are deterministic
+per scenario/seed and pin the trajectory.
+
+The normalisation is linear, not the clock's own reference seconds.
+Those scale host time by the slice's slowdown to the power 1.25, an
+exponent fitted for how load on one host slows the program more than
+the slice.  The gate compares different machines (a CI runner against
+the committed report), where a uniformly faster CPU speeds the slice
+and the simulator alike; with that exponent a runner twice as fast
+would read as a 19% regression.  A change to the reference slice
+changes ``calibration_s``, so it needs this report regenerated.
+
+``--profile`` adds the reported run's per-phase wall-clock breakdown
+(arrivals / faults / oom / schedule / advance, read off the engine's
+always-on phase counters, in host seconds that include the slices taken
+during each phase) so a regression can be attributed to the phase that
+caused it.  A ``prerefactor_baseline`` section already present in the
+output file is carried over: the same scenario/seed/grid measured
+before the vectorization work, on the same machine as the committed
+numbers.
 
 Usage::
 
@@ -42,15 +57,15 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
+from perfbench.hostclock import CalibratedClock  # noqa: E402
 from repro.cluster.simulator import ClusterSimulator  # noqa: E402
 from repro.scenarios import scenario  # noqa: E402
 from repro.scheduling import build_scheduler  # noqa: E402
@@ -67,40 +82,8 @@ TIME_STEP_MIN = 0.5
 SEED = 7
 SCHEME = "pairwise"  # needs no offline training; placement-bound
 
-
-#: Seeded runs per tier; the fastest counts (host noise only ever slows
-#: a run down), and every run must reproduce the same trajectory.
-RUNS = 3
-
-#: Calibration loops timed before each run and after the last one; their
-#: median is the host-speed reference the gate normalises by.
-CALIBRATION_LOOPS = 5
-
-
-def calibration_loop() -> float:
-    """Fixed reference work: dict/float/str churn plus small-array NumPy.
-
-    The mix mirrors the simulator's hot loops (per-object Python
-    bookkeeping next to column reductions over a few hundred rows), so
-    a slower or busier host slows both by roughly the same factor.
-    """
-    table = {key: key * 7 % 13 for key in range(256)}
-    column = np.arange(512, dtype=np.float64)
-    total = 0.0
-    for i in range(100_000):
-        total += table[i & 255] * 0.5 + len(str(i))
-        if i % 50 == 0:
-            total += float(np.bincount(column.astype(np.int64) % 64,
-                                       weights=column).max())
-    return total
-
-
-def time_calibration(samples: list[float]) -> None:
-    """Append :data:`CALIBRATION_LOOPS` timed calibration loops."""
-    for _ in range(CALIBRATION_LOOPS):
-        start = time.perf_counter()
-        calibration_loop()
-        samples.append(time.perf_counter() - start)
+#: Seeded runs per tier; every run must reproduce the same trajectory.
+RUNS = 5
 
 
 def run_once(scenario_name: str) -> dict:
@@ -123,32 +106,32 @@ def run_once(scenario_name: str) -> dict:
     simulator.events.subscribe(count)
     jobs = spec.make_mixes(n_mixes=1, seed=SEED)[0]
     start = time.perf_counter()
-    result = simulator.run(jobs)
-    wall = time.perf_counter() - start
+    with CalibratedClock() as clock:
+        result = simulator.run(jobs)
+    host_s = time.perf_counter() - start
     finished = sum(1 for app in simulator.submission_order
                    if app.finish_time is not None)
-    return {"wall": wall, "events": n_events, "jobs": len(jobs),
-            "jobs_finished": finished, "makespan_min": result.makespan_min,
+    wall = host_s - clock.slice_s
+    calibration_s = clock.slice_s / clock.slices
+    return {"wall": wall, "host_s": host_s, "events": n_events,
+            "jobs": len(jobs), "jobs_finished": finished,
+            "makespan_min": result.makespan_min,
+            "calibration_s": calibration_s,
+            "normalised": n_events / wall * calibration_s,
             "phases": dict(simulator.engine.phase_seconds)}
 
 
 def run_tier(tier: str, profile: bool) -> dict:
-    """:data:`RUNS` runs of one tier between calibration loops."""
+    """:data:`RUNS` calibrated runs of one tier; reports the best one."""
     scenario_name = TIERS[tier]
     print(f"[{tier}] {scenario_name} ...", flush=True, file=sys.stderr)
-    calibration: list[float] = []
-    runs = []
-    for _ in range(RUNS):
-        time_calibration(calibration)
-        runs.append(run_once(scenario_name))
-    time_calibration(calibration)
+    runs = [run_once(scenario_name) for _ in range(RUNS)]
     trajectories = {(run["events"], run["makespan_min"]) for run in runs}
     if len(trajectories) != 1:
         raise RuntimeError(f"tier {tier!r}: repeated seeded runs diverge "
                            f"({sorted(trajectories)})")
-    best = min(runs, key=lambda run: run["wall"])
+    best = max(runs, key=lambda run: run["normalised"])
     wall = best["wall"]
-    calibration_s = statistics.median(calibration)
     report = {
         "scenario": scenario_name,
         "wall_clock_s": round(wall, 2),
@@ -158,19 +141,18 @@ def run_tier(tier: str, profile: bool) -> dict:
         "jobs_finished": best["jobs_finished"],
         "jobs_per_s": round(best["jobs_finished"] / wall, 2),
         "makespan_min": best["makespan_min"],
-        "calibration_s": round(calibration_s, 5),
-        "events_per_calibration": round(
-            best["events"] / wall * calibration_s, 2),
+        "calibration_s": round(best["calibration_s"], 7),
     }
     if profile:
         phases = best["phases"]
         report["phases_s"] = {name: round(seconds, 3)
                               for name, seconds in phases.items()}
         accounted = sum(phases.values())
-        report["phases_s"]["other"] = round(max(wall - accounted, 0.0), 3)
+        report["phases_s"]["other"] = round(
+            max(best["host_s"] - accounted, 0.0), 3)
     print(f"[{tier}]   {report['wall_clock_s']}s, "
           f"{report['events_per_s']:,.0f} events/s, "
-          f"{report['events_per_calibration']:,.1f} events/calibration",
+          f"{best['normalised']:,.2f} events per reference slice",
           flush=True, file=sys.stderr)
     return report
 
@@ -194,9 +176,9 @@ def main(argv=None) -> int:
                         help="comma-separated tier list out of "
                              f"{', '.join(TIERS)}, or 'all' (default: ci)")
     parser.add_argument("--profile", action="store_true",
-                        help="record each run's per-phase wall-clock "
-                             "breakdown (arrivals/faults/oom/schedule/"
-                             "advance)")
+                        help="record the reported run's per-phase "
+                             "wall-clock breakdown (arrivals/faults/oom/"
+                             "schedule/advance)")
     parser.add_argument("--output", default="BENCH_throughput.json",
                         metavar="PATH", help="report destination "
                                              "(default: BENCH_throughput.json)")
