@@ -21,28 +21,17 @@ performance envelope::
     python benchmarks/fig6_grid.py --quick --workers 2 --n-mixes 4 --output BENCH_baseline.json
     python benchmarks/scenario_smoke.py --merge-into BENCH_baseline.json
 
-When the kernel-throughput reports are passed too (``--throughput`` /
-``--throughput-baseline``, produced by ``benchmarks/throughput.py``),
-the gate additionally checks, per tier present in both reports:
-
-* the trajectory — event count and makespan, deterministic per
-  scenario/seed — equals the committed baseline's exactly;
-* events/sec may regress at most the same ``--max-regression``
-  fraction, normalized by the reference-slice time sampled during the
-  same run (the gated quantity is ``events_per_s * calibration_s``), so
-  runner hardware cancels out.
-
-When the rollout-throughput reports are passed (``--rollout`` /
-``--rollout-baseline``, produced by ``benchmarks/rollout_throughput.py``),
-the gate additionally checks, per case present in both reports:
-
-* the fast observation path still reproduces the dataclass oracle
-  bit-for-bit (``modes_agree``), and the fast STP equals the committed
-  baseline's exactly (episodes are deterministic per scenario/seed);
-* ``fast_speedup`` — fast steps/sec normalized by the same machine's
-  oracle-mode steps/sec — may regress at most
-  ``--rollout-max-regression`` (default 30 %, looser than the kernel
-  tiers because the quick cases time tens-of-milliseconds episodes).
+The kernel-throughput (``--throughput``, from
+``benchmarks/throughput.py``) and rollout-throughput (``--rollout``,
+from ``benchmarks/rollout_throughput.py``) reports are gated by one
+rule, per tier or case present in both reports: the trajectory (events
+and makespan, or steps and STP — deterministic per scenario/seed) equals
+the committed baseline's exactly, and the rate times ``calibration_s``,
+the mean reference-slice time sampled during the same run, may regress
+at most ``--max-regression`` for the kernel tiers and
+:data:`ROLLOUT_MAX_REGRESSION` (30 %; the quick rollout cases time
+tens-of-milliseconds episodes) for the rollout cases.  Runner hardware
+cancels out of that product.
 
 Usage::
 
@@ -71,16 +60,43 @@ def _load(path: str) -> dict:
         raise SystemExit(2)
 
 
+#: Steps-per-reference-slice budget of the rollout gate.
+ROLLOUT_MAX_REGRESSION = 0.30
+
+
+def gate_per_slice(label: str, unit: str, entry: dict, reference: dict,
+                   max_regression: float, failures: list[str]) -> None:
+    """Gate ``<unit>_per_s * calibration_s`` against the reference's.
+
+    The product counts ``unit`` per reference slice timed during the
+    same run, a figure runner hardware cancels out of; it may fall at
+    most ``max_regression`` below the reference's.
+    """
+    rate = f"{unit}_per_s"
+    try:
+        pr_norm = float(entry[rate]) * float(entry["calibration_s"])
+        base_norm = float(reference[rate]) * float(reference["calibration_s"])
+        regression = pr_norm / base_norm - 1.0
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        failures.append(f"{label}: a report lacks {rate}/calibration_s")
+        return
+    print(f"{label}: {pr_norm:,.2f} {unit} per reference slice "
+          f"(baseline {base_norm:,.2f}, {regression:+.1%}; "
+          f"budget -{max_regression:.0%})")
+    if pr_norm < base_norm * (1.0 - max_regression):
+        failures.append(
+            f"{label}: normalized {unit}/sec regression {regression:+.1%} "
+            f"exceeds the {max_regression:.0%} budget")
+
+
 def check_throughput(pr: dict, base: dict, max_regression: float,
                      failures: list[str]) -> None:
     """Gate the kernel-throughput report against its committed baseline.
 
     One rule for every tier present in both reports: the trajectory
     (``events`` and ``makespan_min``) must equal the baseline's, and
-    events/sec times the mean reference-slice seconds sampled during
-    the same run — events per reference slice, a figure runner hardware
-    cancels out of — may fall at most ``max_regression`` below the
-    baseline's.
+    events per reference slice (:func:`gate_per_slice`) may fall at
+    most ``max_regression`` below the baseline's.
     """
     for tier, entry in sorted(pr.get("tiers", {}).items()):
         reference = base.get("tiers", {}).get(tier)
@@ -98,45 +114,21 @@ def check_throughput(pr: dict, base: dict, max_regression: float,
                 f"{reference.get('makespan_min')}) — refresh the baseline "
                 f"only if the behaviour change is intended")
             continue
-        try:
-            pr_norm = (float(entry["events_per_s"])
-                       * float(entry["calibration_s"]))
-            base_norm = (float(reference["events_per_s"])
-                         * float(reference["calibration_s"]))
-            regression = pr_norm / base_norm - 1.0
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            failures.append(f"throughput tier {tier!r}: a report lacks "
-                            f"events_per_s/calibration_s")
-            continue
-        print(f"throughput tier {tier!r}: {pr_norm:,.2f} events per "
-              f"reference slice (baseline {base_norm:,.2f}, "
-              f"{regression:+.1%}; budget -{max_regression:.0%})")
-        if pr_norm < base_norm * (1.0 - max_regression):
-            failures.append(
-                f"throughput tier {tier!r}: normalized events/sec "
-                f"regression {regression:+.1%} exceeds the "
-                f"{max_regression:.0%} budget")
+        gate_per_slice(f"throughput tier {tier!r}", "events", entry,
+                       reference, max_regression, failures)
 
 
-def check_rollout(pr: dict, base: dict, max_regression: float,
-                  failures: list[str]) -> None:
+def check_rollout(pr: dict, base: dict, failures: list[str]) -> None:
     """Gate the rollout-throughput report against its committed baseline.
 
     Per case present in both reports (``benchmarks/rollout_throughput.py``
-    output):
-
-    * ``modes_agree`` must hold absolutely — the fast observation path
-      (``obs_mode="features"`` + candidate row cache) must reproduce the
-      dataclass oracle's episode bit-for-bit, decision traces included;
-    * the fast mode's STP must equal the committed baseline's exactly
-      (episodes are deterministic per scenario/seed, so any drift is a
-      behaviour change, not noise);
-    * ``fast_speedup`` (fast steps/sec over the same machine's oracle
-      steps/sec — hardware cancels) may regress at most
-      ``max_regression`` against the baseline's ratio.
-
-    The report's own ``committed_checkpoint`` pin (churn20 learned STP
-    vs BENCH_learned.json) must also hold when present.
+    output) the trajectory (``steps`` and ``stp``) must equal the
+    baseline's — episodes are deterministic per scenario/seed, so any
+    drift is a behaviour change, not noise — and steps per reference
+    slice (:func:`gate_per_slice`) may fall at most
+    :data:`ROLLOUT_MAX_REGRESSION` below the baseline's.  The report's
+    own ``committed_checkpoint`` pin (churn20 learned STP vs
+    BENCH_learned.json) must also hold when present.
     """
     pin = pr.get("committed_checkpoint")
     if pin is not None and pin.get("matches") is not True:
@@ -145,35 +137,22 @@ def check_rollout(pr: dict, base: dict, max_regression: float,
             f"longer matches the committed checkpoint eval "
             f"{pin.get('committed_stp')} ({pin.get('source')})")
     for case, entry in sorted(pr.get("cases", {}).items()):
-        if entry.get("modes_agree") is not True:
-            failures.append(
-                f"rollout case {case!r}: fast and oracle observation modes "
-                f"diverge — the array-backed path no longer reproduces the "
-                f"dataclass oracle (modes_agree is not true)")
-            continue
         reference = base.get("cases", {}).get(case)
-        if reference is None or "fast_speedup" not in reference:
+        if reference is None:
             print(f"rollout case {case!r}: no committed reference; "
-                  f"skipping the steps/sec gate")
+                  f"skipping the gate")
             continue
-        pr_stp = entry.get("fast", {}).get("stp")
-        base_stp = reference.get("fast", {}).get("stp")
-        if pr_stp != base_stp:
+        if (entry.get("steps") != reference.get("steps")
+                or entry.get("stp") != reference.get("stp")):
             failures.append(
-                f"rollout case {case!r}: STP diverges from the committed "
-                f"baseline ({pr_stp} vs {base_stp}) — episodes are "
-                f"deterministic, so refresh the baseline only if the "
-                f"behaviour change is intended")
-        pr_speedup = float(entry["fast_speedup"])
-        base_speedup = float(reference["fast_speedup"])
-        regression = pr_speedup / base_speedup - 1.0
-        print(f"rollout case {case!r}: fast path at {pr_speedup:.2f}x the "
-              f"oracle's steps/sec (baseline {base_speedup:.2f}x, "
-              f"{regression:+.1%}; budget -{max_regression:.0%})")
-        if pr_speedup < base_speedup * (1.0 - max_regression):
-            failures.append(
-                f"rollout case {case!r}: normalized steps/sec regression "
-                f"{regression:+.1%} exceeds the {max_regression:.0%} budget")
+                f"rollout case {case!r}: trajectory diverges from the "
+                f"committed baseline (steps {entry.get('steps')} vs "
+                f"{reference.get('steps')}, STP {entry.get('stp')} vs "
+                f"{reference.get('stp')}) — refresh the baseline only if "
+                f"the behaviour change is intended")
+            continue
+        gate_per_slice(f"rollout case {case!r}", "steps", entry, reference,
+                       ROLLOUT_MAX_REGRESSION, failures)
 
 
 def main(argv=None) -> int:
@@ -197,16 +176,6 @@ def main(argv=None) -> int:
                         help="committed rollout-throughput reference "
                              "(default: BENCH_rollout.json)")
     parser.add_argument(
-        "--rollout-max-regression", type=float,
-        default=float(os.environ.get("REPRO_ROLLOUT_MAX_REGRESSION", "0.30")),
-        metavar="FRACTION",
-        help="maximum allowed fast_speedup regression for the rollout "
-             "gate (default: 0.30 — the quick cases time tens-of-"
-             "milliseconds episodes, so the ratio is noisier than the "
-             "long-running kernel tiers; correctness is carried by the "
-             "bit-exact modes_agree and STP pins, the ratio gate only "
-             "has to catch the fast path losing its advantage)")
-    parser.add_argument(
         "--max-regression", type=float,
         default=float(os.environ.get("REPRO_BENCH_MAX_REGRESSION", "0.15")),
         metavar="FRACTION",
@@ -215,8 +184,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_regression < 0:
         parser.error("--max-regression cannot be negative")
-    if args.rollout_max_regression < 0:
-        parser.error("--rollout-max-regression cannot be negative")
 
     pr = _load(args.candidate)
     base = _load(args.baseline)
@@ -261,7 +228,7 @@ def main(argv=None) -> int:
 
     if args.rollout is not None:
         check_rollout(_load(args.rollout), _load(args.rollout_baseline),
-                      args.rollout_max_regression, failures)
+                      failures)
 
     if failures:
         for failure in failures:

@@ -1,36 +1,18 @@
-"""Episode-rollout throughput: the fast observation path vs the oracle.
+"""Episode-rollout throughput: environment steps per reference slice.
 
-Measures end-to-end environment stepping throughput — env steps/sec and
-scheduling decisions/sec — for sampled-collection-style rollouts, in the
-two observation modes the environment offers:
-
-* ``oracle`` — ``obs_mode="dataclass"`` with utilization recording on
-  and the candidate row cache off: the pre-fast-path configuration,
-  re-measured on the same machine so the speedup is hardware-free;
-* ``fast``   — ``obs_mode="features"`` with utilization recording off
-  and the row cache on: the array-backed collection path
-  (:class:`~repro.env.FeatureObservation` filled straight from the
-  kernel's state columns, cached candidate feature rows across the
-  ``decide_epoch`` fixed point).
-
-Cases cover the learned policy (whose per-epoch decisions exercise the
-featurizer + policy network) and a native scheme through
-:class:`~repro.env.PolicyAdapter` (whose epochs are scheme-bound, the
-observation being pure overhead), on ``churn20`` (the training scenario)
-and the ``mega_ci_1k`` fleet tier.
-
-The two modes must agree **bit-for-bit**: each case records a
-``modes_agree`` flag (identical STP, step count, and — for the learned
-policy — identical decision traces, feature matrices included); a fast
-path that diverges is a failure, not a win.  The churn20 learned case is
-additionally pinned to the committed checkpoint's ``BENCH_learned.json``
-evaluation.  ``benchmarks/compare_baseline.py --rollout`` gates the
-normalized ``fast_speedup`` (fast steps/sec over the same machine's
-oracle steps/sec) against the committed ``BENCH_rollout.json``.
-
-The committed report also carries a ``prerefactor_baseline`` section
-(``--prerefactor``): the same episodes measured at the pre-PR commit on
-the same machine.
+Times whole :func:`repro.env.rollout` episodes of the learned policy and
+of ``pairwise`` through :class:`~repro.env.PolicyAdapter` on ``churn20``
+and ``mega_ci_1k``, each in the observation mode ``rollout`` picks for
+the policy, with utilization recording off as in training collection.
+All of a case's repeats run under one ``perfbench/hostclock.py``
+:class:`CalibratedClock`, which times a fixed reference slice every
+20 ms; a churn20 episode takes 15-60 ms, so those cases repeat it enough
+to span ~25 slices or more.  ``calibration_s`` is the mean slice time
+and ``steps_per_s`` excludes the slices' own time;
+``benchmarks/compare_baseline.py --rollout`` gates their product (steps
+per reference slice) and pins ``steps`` and ``stp`` exactly.  The
+churn20 learned STP is also pinned to ``BENCH_learned.json``, and a
+``prerefactor_baseline`` section in the output file is carried over.
 
 Usage::
 
@@ -47,123 +29,62 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
-import numpy as np  # noqa: E402
-
-from repro.env.environment import SchedulingEnv  # noqa: E402
+from perfbench.hostclock import CalibratedClock  # noqa: E402
 from repro.env.policies import PolicyAdapter  # noqa: E402
+from repro.env.rollout import rollout  # noqa: E402
 from repro.env.train.scheme import LearnedPolicy  # noqa: E402
 
 SEED = 11
 ENGINE = "event"
 
-#: case name -> (scenario, policy kind, timed repeats).  churn20
-#: episodes run in tens of milliseconds, so they take enough repeats to
-#: keep the best-of timing stable; ``--quick`` trims the case set to
-#: them, not the repeats.
+#: case name -> (scenario, policy kind, repeats under one clock).
+#: ``--quick`` trims the case set to the churn20 cases, not the repeats.
 CASES = {
-    "churn20_learned": ("churn20", "learned", 5),
-    "churn20_pairwise": ("churn20", "pairwise", 5),
+    "churn20_learned": ("churn20", "learned", 20),
+    "churn20_pairwise": ("churn20", "pairwise", 40),
     "mega_ci_1k_learned": ("mega_ci_1k", "learned", 1),
-    "mega_ci_1k_pairwise": ("mega_ci_1k", "pairwise", 1),
+    "mega_ci_1k_pairwise": ("mega_ci_1k", "pairwise", 3),
 }
 QUICK_CASES = ("churn20_learned", "churn20_pairwise")
 
 #: Committed checkpoint eval pin: BENCH_learned.json stp_per_seed for
 #: churn20 seed 11 (rounded to 4 decimals exactly as that report does).
-LEARNED_BENCH = Path(__file__).resolve().parents[1] / "BENCH_learned.json"
-
-
-def make_policy(kind: str, *, trace: bool = False, row_cache: bool = True):
-    if kind == "learned":
-        policy = LearnedPolicy(record_trace=trace)
-        policy.row_cache = row_cache
-        return policy
-    return PolicyAdapter(kind)
-
-
-def run_episode(scenario: str, kind: str, mode: str, *,
-                trace: bool = False) -> dict:
-    """One full episode in one observation mode; returns measurements.
-
-    The timed region is the act/step loop (stepping throughput); reset
-    and the metrics fold are reported separately.  ``trace=True`` runs
-    the learned policy with decision-trace recording for the
-    bit-for-bit mode comparison (slightly slower, so agreement episodes
-    are not the timed ones).
-    """
-    fast = mode == "fast"
-    policy = make_policy(kind, trace=trace, row_cache=fast)
-    env = SchedulingEnv(scenario, engine=ENGINE,
-                        obs_mode="features" if fast else "dataclass",
-                        record_utilization=not fast)
-    policy.reset(SEED)
-    tick = time.perf_counter()
-    observation = env.reset(seed=SEED,
-                            scheduler_factory=policy.make_scheduler)
-    reset_s = time.perf_counter() - tick
-    placements = 0
-    done = False
-    tick = time.perf_counter()
-    while not done:
-        observation, _, done, info = env.step(policy.act(observation))
-        placements += info["placements"]
-    stepping_s = time.perf_counter() - tick
-    evaluation = env.evaluation()
-    return {
-        "steps": env.steps,
-        "placements": placements,
-        "stp": evaluation.stp,
-        "reset_s": reset_s,
-        "stepping_s": stepping_s,
-        "trace": policy.trace if trace and kind == "learned" else None,
-    }
-
-
-def traces_equal(a, b) -> bool:
-    return (len(a) == len(b)
-            and all(x[1] == y[1] and np.array_equal(x[0], y[0])
-                    for x, y in zip(a, b)))
+LEARNED_BENCH = ROOT / "BENCH_learned.json"
 
 
 def run_case(name: str, scenario: str, kind: str, repeats: int) -> dict:
-    report: dict = {"scenario": scenario, "policy": kind}
-    agreement: dict = {}
-    for mode in ("oracle", "fast"):
-        print(f"[{name}] mode={mode} ...", flush=True, file=sys.stderr)
-        # Untimed agreement episode (decision traces on for learned).
-        agreement[mode] = run_episode(scenario, kind, mode, trace=True)
-        decisions = (len(agreement[mode]["trace"])
-                     if agreement[mode]["trace"] is not None
-                     else agreement[mode]["placements"])
-        best = None
-        for _ in range(repeats):
-            run = run_episode(scenario, kind, mode)
-            if best is None or run["stepping_s"] < best["stepping_s"]:
-                best = run
-        report[mode] = {
-            "wall_s": round(best["reset_s"] + best["stepping_s"], 3),
-            "stepping_s": round(best["stepping_s"], 3),
-            "steps": best["steps"],
-            "steps_per_s": round(best["steps"] / best["stepping_s"], 1),
-            "decisions": decisions,
-            "decisions_per_s": round(decisions / best["stepping_s"], 1),
-            "stp": best["stp"],
-        }
-        print(f"[{name}]   {report[mode]['stepping_s']}s, "
-              f"{report[mode]['steps_per_s']:,.0f} steps/s, "
-              f"{report[mode]['decisions_per_s']:,.0f} decisions/s",
-              flush=True, file=sys.stderr)
-    oracle, fast = agreement["oracle"], agreement["fast"]
-    agree = (oracle["stp"] == fast["stp"]
-             and oracle["steps"] == fast["steps"]
-             and oracle["placements"] == fast["placements"])
-    if kind == "learned":
-        agree = agree and traces_equal(oracle["trace"], fast["trace"])
-    report["modes_agree"] = agree
-    report["fast_speedup"] = round(report["fast"]["steps_per_s"]
-                                   / report["oracle"]["steps_per_s"], 2)
+    """``repeats`` episodes of one case under one calibrated clock."""
+    policy = LearnedPolicy() if kind == "learned" else PolicyAdapter(kind)
+    start = time.perf_counter()
+    with CalibratedClock() as clock:
+        results = [rollout(scenario, policy, seed=SEED, engine=ENGINE,
+                           record_utilization=False)
+                   for _ in range(repeats)]
+    host_s = time.perf_counter() - start
+    trajectories = {(result.steps, result.stp) for result in results}
+    if len(trajectories) != 1:
+        raise RuntimeError(f"case {name!r}: repeated seeded episodes "
+                           f"diverge ({sorted(trajectories)})")
+    (episode_steps, stp), = trajectories
+    wall = host_s - clock.slice_s
+    report = {
+        "scenario": scenario,
+        "policy": kind,
+        "repeats": repeats,
+        "slices": clock.slices,
+        "steps": episode_steps,
+        "stp": stp,
+        "steps_per_s": round(episode_steps * repeats / wall, 1),
+        "calibration_s": round(clock.slice_s / clock.slices, 7),
+    }
+    print(f"[{name}]   {report['steps_per_s']:,.0f} steps/s, "
+          f"{report['steps_per_s'] * report['calibration_s']:.3f} steps "
+          f"per reference slice over {clock.slices} slices",
+          flush=True, file=sys.stderr)
     return report
 
 
@@ -183,8 +104,8 @@ def committed_checkpoint_pin(report: dict) -> dict | None:
         "source": LEARNED_BENCH.name,
         "seed": SEED,
         "committed_stp": committed,
-        "measured_stp": case["fast"]["stp"],
-        "matches": round(case["fast"]["stp"], 4) == committed,
+        "measured_stp": case["stp"],
+        "matches": round(case["stp"], 4) == committed,
     }
 
 
@@ -192,9 +113,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="churn20 cases only (CI settings)")
-    parser.add_argument("--prerefactor", metavar="PATH",
-                        help="JSON file with pre-PR measurements to embed "
-                             "as the prerefactor_baseline section")
     parser.add_argument("--output", default="BENCH_rollout.json",
                         metavar="PATH", help="report destination "
                                              "(default: BENCH_rollout.json)")
@@ -208,31 +126,24 @@ def main(argv=None) -> int:
         "engine": ENGINE,
         "seed": SEED,
         "quick": args.quick,
-        "cases": {},
+        "cases": {name: run_case(name, *CASES[name]) for name in names},
     }
-    for name in names:
-        scenario, kind, repeats = CASES[name]
-        report["cases"][name] = run_case(name, scenario, kind, repeats)
     pin = committed_checkpoint_pin(report)
     if pin is not None:
         report["committed_checkpoint"] = pin
-    if args.prerefactor:
-        report["prerefactor_baseline"] = json.loads(
-            Path(args.prerefactor).read_text())
-
-    failures = [name for name, case in report["cases"].items()
-                if case["modes_agree"] is not True]
+    output = Path(args.output)
+    if output.is_file():
+        previous = json.loads(output.read_text())
+        if "prerefactor_baseline" in previous:
+            report["prerefactor_baseline"] = previous["prerefactor_baseline"]
+    output.write_text(json.dumps(report, indent=2) + "\n")
+    print(json.dumps(report["cases"], indent=2))
     if pin is not None and pin["matches"] is not True:
-        failures.append("committed_checkpoint")
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps({name: {"fast_speedup": case["fast_speedup"],
-                             "modes_agree": case["modes_agree"],
-                             "fast_steps_per_s":
-                                 case["fast"]["steps_per_s"]}
-                      for name, case in report["cases"].items()}, indent=2))
-    for name in failures:
-        print(f"FAIL: {name}: fast and oracle modes diverge", file=sys.stderr)
-    return 1 if failures else 0
+        print(f"FAIL: churn20 learned STP {pin['measured_stp']} no longer "
+              f"matches the committed checkpoint eval "
+              f"{pin['committed_stp']}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

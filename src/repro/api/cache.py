@@ -19,6 +19,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 
 from repro.api.suite import SchedulerSuite
@@ -76,8 +77,9 @@ def load_or_train_suite(cache_dir: str | Path | None = None,
 
     On a cache miss (or with ``use_cache=False``) the suite is trained in
     process; with caching enabled the result is then pickled for the next
-    run.  Corrupt or stale cache files are ignored and overwritten, never
-    fatal.
+    run.  Stale cache files are ignored and overwritten; a corrupt one
+    is reported with a :class:`RuntimeWarning` naming the file and the
+    error, then retrained and overwritten likewise — never fatal.
     """
     path = suite_path(cache_dir)
     fingerprint = suite_fingerprint()
@@ -89,8 +91,10 @@ def load_or_train_suite(cache_dir: str | Path | None = None,
                     and payload.get("fingerprint") == fingerprint):
                 return SchedulerSuite(dataset=payload["dataset"],
                                       moe=payload["moe"])
-        except _UNREADABLE_CACHE:
-            pass  # unreadable/corrupt cache: fall through and retrain
+        except _UNREADABLE_CACHE as error:
+            warnings.warn(f"unreadable suite cache {path} "
+                          f"({type(error).__name__}); retraining",
+                          RuntimeWarning, stacklevel=2)
 
     suite = SchedulerSuite()
     suite.ensure_trained()

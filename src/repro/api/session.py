@@ -281,7 +281,6 @@ class Session:
                 engine: str = "event", reward: str = "stp_delta",
                 time_step_min: float = 0.5, max_steps: int | None = None,
                 record_rewards: bool = False,
-                obs_mode: str = "dataclass",
                 record_utilization: bool = True):
         """Run one scheduling-environment episode; returns an
         :class:`~repro.env.EpisodeResult`.
@@ -296,10 +295,9 @@ class Session:
         name, spec JSON path, or a
         :class:`~repro.scenarios.spec.ScenarioSpec`.
         ``record_rewards`` keeps the per-step reward trace on the
-        result.  ``obs_mode="features"`` selects the array-backed fast
-        observation path (bit-identical decisions/rewards/STP; see
-        :class:`~repro.env.SchedulingEnv`), and ``record_utilization``
-        forwards to the simulator's utilization telemetry switch.
+        result, and ``record_utilization`` forwards to the simulator's
+        utilization telemetry switch.  The observation path follows the
+        policy (:attr:`repro.env.Policy.obs_mode`).
         """
         from repro.env import Policy, make_policy
         from repro.env import rollout as run_episode
@@ -315,7 +313,7 @@ class Session:
         return run_episode(scenario, policy, seed=seed, engine=engine,
                            reward=reward,
                            time_step_min=time_step_min, max_steps=max_steps,
-                           record_rewards=record_rewards, obs_mode=obs_mode,
+                           record_rewards=record_rewards,
                            record_utilization=record_utilization)
 
     def learned_model(self, checkpoint=None):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.cluster.events import EventKind
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.env.actions import Action, InvalidActionError, validate_placement
-from repro.env.observations import Observation, ObservationBuilder
+from repro.env.observations import FeatureObservation, Observation, ObservationBuilder
 from repro.metrics.throughput import StreamingScheduleMetrics, baseline_antt
 from repro.scenarios.registry import load_scenario
 from repro.scheduling.base import Scheduler
@@ -128,8 +128,9 @@ class SchedulingEnv:
         views — the parity oracle.  ``"features"`` hands out the
         array-backed :class:`~repro.env.FeatureObservation`, built
         straight from the kernel's state columns: the fast path for
-        learned-policy rollouts and training collection (policies that
-        read the typed views need ``"dataclass"``).
+        policies that never read the typed views.
+        :func:`repro.env.rollout` passes the policy's declared
+        :attr:`~repro.env.Policy.obs_mode`.
     record_utilization:
         Attach the per-node utilization trace recorder (default
         ``True``, the simulator's historical reduction for the headline
@@ -179,7 +180,8 @@ class SchedulingEnv:
         """The resolved scenario specification."""
         return self._spec
 
-    def reset(self, seed: int = 11, scheduler_factory=None) -> Observation:
+    def reset(self, seed: int = 11, scheduler_factory=None,
+              ) -> Observation | FeatureObservation:
         """Start a new episode; returns the first wake-point observation.
 
         The workload mix, arrival times and fault realization are a pure
@@ -249,7 +251,8 @@ class SchedulingEnv:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def step(self, action: Action) -> tuple[Observation, float, bool, dict]:
+    def step(self, action: Action,
+             ) -> tuple[Observation | FeatureObservation, float, bool, dict]:
         """Apply one epoch's decision and resume the kernel.
 
         Returns ``(observation, reward, done, info)``.  Structured
@@ -356,7 +359,7 @@ class SchedulingEnv:
         """Whether the current episode has ended."""
         return self._done
 
-    def _observe(self) -> Observation:
+    def _observe(self) -> Observation | FeatureObservation:
         if self.obs_mode == "features":
             # Read the allocation policy off the *installed* scheduler:
             # ``on_cluster_change`` rebinds it (``with_cluster_size``

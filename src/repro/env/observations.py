@@ -186,8 +186,8 @@ class FeatureObservation:
     simulation, ``snapshot`` is bit-identical to
     ``snapshot_from_observation(oracle_observation)`` (pinned by the
     fast-path property tests).  Policies that need the full typed view
-    (telemetry counters, per-job states) should run
-    ``obs_mode="dataclass"``.
+    (telemetry counters, per-job states) keep the
+    :class:`~repro.env.Policy` default, ``obs_mode="dataclass"``.
     """
 
     time_min: float

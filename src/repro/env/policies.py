@@ -46,10 +46,13 @@ class Policy:
     policy install a native :class:`~repro.scheduling.base.Scheduler`
     into the simulator's mechanism-hook slot (profiling delays, live
     executor caps) — baselines return ``None`` and get the default
-    hook scheduler.
+    hook scheduler.  ``obs_mode`` declares the observation ``act``
+    reads (see :class:`~repro.env.SchedulingEnv`); :func:`repro.env.rollout`
+    builds the environment with it.
     """
 
     name = "policy"
+    obs_mode = "dataclass"
 
     def reset(self, seed: int) -> None:
         """Reset per-episode state (e.g. reseed the generator)."""
@@ -184,7 +187,12 @@ class PolicyAdapter(Policy):
         Trained-artefact provider (:class:`repro.api.SchedulerSuite`);
         a fresh lazily trained suite when omitted.  Pass a session's
         suite to reuse cached artefacts.
+
+    The mounted scheme reads the live context, never the observation,
+    so the adapter takes the cheaper ``"features"`` one.
     """
+
+    obs_mode = "features"
 
     def __init__(self, scheme: str, suite=None) -> None:
         if not is_registered(scheme):

@@ -142,7 +142,6 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
             engine: str = "event", reward: str = "stp_delta", time_step_min: float = 0.5,
             max_steps: int | None = None,
             record_rewards: bool = False,
-            obs_mode: str = "dataclass",
             record_utilization: bool = True) -> EpisodeResult:
     """Run one full episode of ``policy`` on ``scenario``.
 
@@ -152,15 +151,15 @@ def rollout(scenario, policy: Policy, *, seed: int = 11,
     ``RuntimeError`` naming the scenario and step count.
     ``record_rewards`` keeps the per-step reward trace on the result
     (``EpisodeResult.rewards``) — the learner's training signal and the
-    eval episode then share one telemetry shape.  ``obs_mode`` and
-    ``record_utilization`` are forwarded to :class:`SchedulingEnv`:
-    ``obs_mode="features"`` with ``record_utilization=False`` is the
-    fast collection path (decision traces, rewards and STP are
-    bit-identical to the defaults; only the episode's utilization metric
-    switches to the streaming reduction).
+    eval episode then share one telemetry shape.  The environment hands
+    out the observation the policy declares (:attr:`Policy.obs_mode`);
+    both observation paths drive bit-identical episodes.
+    ``record_utilization`` is forwarded to :class:`SchedulingEnv`:
+    ``False`` switches only the episode's utilization metric to the
+    streaming reduction (training collection, which never reads it).
     """
     env = SchedulingEnv(scenario, engine=engine, reward=reward, time_step_min=time_step_min,
-                        obs_mode=obs_mode,
+                        obs_mode=policy.obs_mode,
                         record_utilization=record_utilization)
     policy.reset(seed)
     observation = env.reset(seed=seed,

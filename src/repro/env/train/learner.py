@@ -62,16 +62,12 @@ class TrainConfig:
     distribution's mode, shrinking the gap between the sampled training
     policy and the argmax serving policy.
 
-    ``obs_mode`` selects the environment observation path for episode
-    collection and evaluation (``"features"``, the array-backed fast
-    path, is bit-identical to the ``"dataclass"`` oracle — pinned by the
-    fast-path parity tests).  ``update_mode`` selects the gradient
-    accumulation implementation (:data:`UPDATE_MODES`): ``"gemm"`` stacks
-    the batch into chunked matrix products, ``"rows"`` is the
-    row-at-a-time oracle; the two agree to numerical precision but not
-    bitwise (BLAS matmuls are not bit-stable across batching), so runs
-    that must reproduce a historical checkpoint bit-for-bit use
-    ``"rows"``.
+    ``update_mode`` selects the gradient accumulation implementation
+    (:data:`UPDATE_MODES`): ``"gemm"`` stacks the batch into chunked
+    matrix products, ``"rows"`` is the row-at-a-time oracle; the two
+    agree to numerical precision but not bitwise (BLAS matmuls are not
+    bit-stable across batching), so runs that must reproduce a
+    historical checkpoint bit-for-bit use ``"rows"``.
     """
 
     iters: int = 150
@@ -90,7 +86,6 @@ class TrainConfig:
     eval_every: int = 5
     max_steps: int = 20000
     workers: int = 1
-    obs_mode: str = "features"
     update_mode: str = "gemm"
 
     def __post_init__(self) -> None:
@@ -100,9 +95,6 @@ class TrainConfig:
             raise ValueError("episodes_per_iter must be at least 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.obs_mode not in ("dataclass", "features"):
-            raise ValueError(f"unknown obs_mode {self.obs_mode!r} "
-                             "(expected 'dataclass' or 'features')")
         if self.update_mode not in UPDATE_MODES:
             raise ValueError(f"unknown update_mode {self.update_mode!r} "
                              f"(expected one of {UPDATE_MODES})")
@@ -143,7 +135,6 @@ class TrainConfig:
             "eval_every": self.eval_every,
             "max_steps": self.max_steps,
             "workers": self.workers,
-            "obs_mode": self.obs_mode,
             "update_mode": self.update_mode,
         }
 
@@ -154,13 +145,14 @@ class TrainConfig:
         Payloads written before the fast-path knobs existed resolve to
         ``update_mode="rows"`` — the semantics their runs actually had —
         so re-deriving a historical checkpoint from its recorded config
-        reproduces the same bytes.  (``obs_mode`` needs no such pin:
-        both observation paths are bit-identical.)
+        reproduces the same bytes.
         """
         kwargs = dict(payload)
-        # The retired kernel selector: every kernel ran the same
-        # trajectory, so older payloads drop it without loss.
+        # Retired selectors: every kernel, and both observation paths,
+        # ran the same trajectory, so older payloads drop them without
+        # loss.
         kwargs.pop("kernel", None)
+        kwargs.pop("obs_mode", None)
         kwargs["hidden"] = tuple(kwargs["hidden"])
         if kwargs.get("episode_seeds") is not None:
             kwargs["episode_seeds"] = tuple(kwargs["episode_seeds"])
@@ -525,7 +517,6 @@ class ReinforceLearner:
                          engine=self.config.engine,
                          reward=self.config.reward,
                          max_steps=self.config.max_steps,
-                         obs_mode=self.config.obs_mode,
                          record_utilization=False)
         return result.stp
 
@@ -553,8 +544,7 @@ class ReinforceLearner:
         with EpisodeCollector(self.spec, reward=config.reward,
                               engine=config.engine,
                               max_steps=config.max_steps,
-                              workers=config.workers,
-                              obs_mode=config.obs_mode) as collector:
+                              workers=config.workers) as collector:
             for iteration in range(config.iters):
                 specs = [EpisodeSpec(
                     episode_seed=episode_seeds[e % len(episode_seeds)],

@@ -19,11 +19,13 @@ environment; here a policy born in the environment is mounted inside the
   its features are reservation-side and time-free, so fixed/event
   engine trajectories are bit-identical.
 * :class:`LearnedPolicy` — the environment-side twin, used for training
-  rollouts (sampling) and ``env-rollout --policy learned[:ckpt]``.  Its
-  ``act`` builds the snapshot from the typed Observation; because both
-  snapshot constructors read the same reservation-side accessors and
-  both callers run the same ``decide_epoch``, the env path reproduces
-  the native path placement-for-placement.
+  rollouts (sampling) and ``env-rollout --policy learned[:ckpt]``.  It
+  declares the array-backed observation, whose snapshot the environment
+  builds with the same ``snapshot_from_state``; given a typed
+  Observation instead, ``act`` derives the snapshot from its views.
+  Because both snapshot constructors read the same reservation-side
+  accessors and both callers run the same ``decide_epoch``, the env
+  path reproduces the native path placement-for-placement.
 
 Checkpoints resolve in order: an explicit path, the
 ``REPRO_LEARNED_CHECKPOINT`` environment variable, then the committed
@@ -47,7 +49,6 @@ from repro.scheduling.base import Scheduler
 from .features import (
     CandidateRowCache,
     EpochSnapshot,
-    candidate_features,
     snapshot_from_observation,
     snapshot_from_state,
 )
@@ -107,7 +108,7 @@ def clear_model_cache() -> None:
 
 def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                  allocation_policy, *, rng: np.random.Generator | None = None,
-                 trace: list | None = None, row_cache: bool = True,
+                 trace: list | None = None,
                  ) -> list[tuple[str, int, float, float]]:
     """Run the policy over one epoch snapshot; return its placements.
 
@@ -144,26 +145,20 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
     are unaffected, and it is never recorded in the trace (it is
     not a sample from the policy distribution).
 
-    ``row_cache=True`` (default) reuses candidate feature rows across
-    the fixed-point passes through a
-    :class:`~repro.env.train.features.CandidateRowCache`, refreshing
-    only the node a booking touched; ``row_cache=False`` rebuilds every
-    matrix through :func:`~repro.env.train.features.candidate_features`
-    — the row-oracle path the parity tests pin the cache against.  Both
-    produce bit-identical matrices, choices and rng draw sequences.
+    Candidate feature rows are reused across the fixed-point passes
+    through a :class:`~repro.env.train.features.CandidateRowCache`,
+    refreshing only the node a booking touched; its matrices equal
+    :func:`~repro.env.train.features.candidate_features`'s full rebuild
+    bit for bit (pinned by a hypothesis test).
     """
     placements: list[tuple[str, int, float, float]] = []
     config = model.feature_config
-    cache = CandidateRowCache(snapshot, config) if row_cache else None
+    cache = CandidateRowCache(snapshot, config)
     while True:
         placed_in_pass = False
         for job in snapshot.jobs:
             while job.active < job.desired and job.unassigned_gb > 1e-6:
-                if cache is not None:
-                    features, slots, fracs = cache.candidate_features(job)
-                else:
-                    features, slots, fracs = candidate_features(snapshot, job,
-                                                                config)
+                features, slots, fracs = cache.candidate_features(job)
                 if features.shape[0] == 1:
                     break  # no admissible placement; skip is forced
                 if rng is None:
@@ -181,8 +176,7 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
                 placements.append((job.name, int(snapshot.node_ids[slot]),
                                    budget, data))
                 snapshot.book(slot, budget, job.cpu_load)
-                if cache is not None:
-                    cache.invalidate(slot)
+                cache.invalidate(slot)
                 job.unassigned_gb -= data
                 job.active += 1
                 placed_in_pass = True
@@ -192,11 +186,10 @@ def decide_epoch(snapshot: EpochSnapshot, model: PolicyNetwork,
             if fallback is None:
                 break
             placements.append(fallback)
-            if cache is not None:
-                # The fallback booked a node without reporting its slot;
-                # fallbacks are rare (untrained/degenerate policies), so
-                # a full cache rebuild is the simple bit-safe refresh.
-                cache = CandidateRowCache(snapshot, config)
+            # The fallback booked a node without reporting its slot;
+            # fallbacks are rare (untrained/degenerate policies), so a
+            # full cache rebuild is the simple bit-safe refresh.
+            cache = CandidateRowCache(snapshot, config)
             # A fallback changes the state; run another pass so the
             # decision stays a fixed point of the final state.
     return placements
@@ -265,20 +258,16 @@ class LearnedPolicy(Policy):
     """
 
     name = "learned"
+    obs_mode = "features"
 
     def __init__(self, checkpoint: str | Path | None = None, *,
                  model: PolicyNetwork | None = None,
                  sample_rng: np.random.Generator | None = None,
-                 record_trace: bool = False,
-                 row_cache: bool = True) -> None:
+                 record_trace: bool = False) -> None:
         self.model = model if model is not None else load_policy_model(
             checkpoint)
         self.sample_rng = sample_rng
         self.record_trace = record_trace
-        #: Reuse candidate rows across the fixed-point passes (see
-        #: :func:`decide_epoch`); ``False`` is the row-oracle mode the
-        #: rollout benchmark measures the cache against.
-        self.row_cache = row_cache
         #: Per-episode (features, choice) pairs when ``record_trace``;
         #: grouped per step by :attr:`step_marks` (decision count after
         #: each ``act``).
@@ -305,15 +294,14 @@ class LearnedPolicy(Policy):
         allocation_policy = self._scheduler.allocation_policy
         snapshot = getattr(observation, "snapshot", None)
         if snapshot is None:
-            # Dataclass observation: derive the snapshot from the typed
-            # views.  The fast path (obs_mode="features") already built
-            # it array-to-array inside the environment.
+            # Dataclass observation (a caller driving the environment
+            # with typed views): derive the snapshot from them.  The
+            # declared feature observation already carries it.
             snapshot = snapshot_from_observation(observation,
                                                  allocation_policy)
         trace = self.trace if self.record_trace else None
         placements = decide_epoch(snapshot, self.model, allocation_policy,
-                                  rng=self.sample_rng, trace=trace,
-                                  row_cache=self.row_cache)
+                                  rng=self.sample_rng, trace=trace)
         if self.record_trace:
             self.step_marks.append(len(self.trace))
         return Action(tuple(

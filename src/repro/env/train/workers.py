@@ -8,11 +8,11 @@ consumes — either inline or fanned out over a ``ProcessPoolExecutor``
 cells: pool reused across iterations, scenario shipped once through the
 initializer).
 
-Collection runs the environment's fast observation path by default
-(``obs_mode="features"`` with utilization recording off): decision
-traces, rewards and STP are bit-identical to the dataclass oracle path
-(pinned by the fast-path parity tests), only the episode's utilization
-telemetry — which trajectories never consume — switches reductions.
+Collection runs :class:`LearnedPolicy`'s array-backed observation with
+utilization recording off: decision traces, rewards and STP are
+bit-identical to the dataclass observation path (pinned by the
+fast-path parity tests), only the episode's utilization telemetry —
+which trajectories never consume — switches reductions.
 
 Policy weights are broadcast **once per change**, not once per task:
 :meth:`EpisodeCollector.collect` pickles the network a single time and
@@ -78,22 +78,15 @@ class Trajectory:
 
 def collect_episode(scenario, model: PolicyNetwork, spec: EpisodeSpec, *,
                     reward: str = "stp_delta", engine: str = "event",
-                    max_steps: int | None = 20000,
-                    obs_mode: str = "features") -> Trajectory:
-    """Sample one full episode and package it for the learner.
-
-    ``obs_mode="features"`` (the default) runs the array-backed fast
-    observation path with utilization recording off; the trajectory is
-    bit-identical to ``obs_mode="dataclass"``, the row-level oracle.
-    """
+                    max_steps: int | None = 20000) -> Trajectory:
+    """Sample one full episode and package it for the learner."""
     policy = LearnedPolicy(
         model=model, record_trace=True,
         sample_rng=np.random.default_rng(spec.sample_seed))
     result = rollout(scenario, policy, seed=spec.episode_seed,
                      engine=engine, reward=reward,
                      max_steps=max_steps, record_rewards=True,
-                     obs_mode=obs_mode,
-                     record_utilization=(obs_mode != "features"))
+                     record_utilization=False)
     return Trajectory(
         episode_seed=spec.episode_seed,
         rewards=np.asarray(result.rewards, dtype=np.float64),
@@ -111,17 +104,16 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(scenario, reward: str, engine: str,
-                 max_steps: int | None, obs_mode: str,
-                 model_blob: bytes) -> None:
-    _WORKER_STATE["args"] = (scenario, reward, engine, max_steps, obs_mode)
+                 max_steps: int | None, model_blob: bytes) -> None:
+    _WORKER_STATE["args"] = (scenario, reward, engine, max_steps)
     _WORKER_STATE["model"] = pickle.loads(model_blob)
 
 
 def _worker_episode(spec: EpisodeSpec) -> Trajectory:
-    scenario, reward, engine, max_steps, obs_mode = _WORKER_STATE["args"]
+    scenario, reward, engine, max_steps = _WORKER_STATE["args"]
     return collect_episode(scenario, _WORKER_STATE["model"], spec,
                            reward=reward, engine=engine,
-                           max_steps=max_steps, obs_mode=obs_mode)
+                           max_steps=max_steps)
 
 
 class EpisodeCollector:
@@ -138,14 +130,12 @@ class EpisodeCollector:
 
     def __init__(self, scenario, *, reward: str = "stp_delta",
                  engine: str = "event",
-                 max_steps: int | None = 20000, workers: int = 1,
-                 obs_mode: str = "features") -> None:
+                 max_steps: int | None = 20000, workers: int = 1) -> None:
         self.scenario = scenario
         self.reward = reward
         self.engine = engine
         self.max_steps = max_steps
         self.workers = max(1, int(workers))
-        self.obs_mode = obs_mode
         self._pool: ProcessPoolExecutor | None = None
         self._armed_blob: bytes | None = None
 
@@ -157,7 +147,7 @@ class EpisodeCollector:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker,
                 initargs=(self.scenario, self.reward, self.engine,
-                          self.max_steps, self.obs_mode, blob))
+                          self.max_steps, blob))
             self._armed_blob = blob
         return self._pool
 
@@ -167,8 +157,7 @@ class EpisodeCollector:
         if self.workers == 1:
             return [collect_episode(self.scenario, model, spec,
                                     reward=self.reward, engine=self.engine,
-                                    max_steps=self.max_steps,
-                                    obs_mode=self.obs_mode)
+                                    max_steps=self.max_steps)
                     for spec in specs]
         pool = self._arm_pool(model)
         try:

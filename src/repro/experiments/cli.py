@@ -270,8 +270,7 @@ def _run_env_rollout(args) -> int:
         try:
             episode = session.rollout(spec, policy=args.policy,
                                       seed=args.seed, engine=args.engine,
-                                      reward=args.reward,
-                                      obs_mode=args.obs_mode or "dataclass")
+                                      reward=args.reward)
         except UnknownPolicy as error:
             print(f"cannot resolve policy {args.policy!r}: {error}",
                   file=sys.stderr)
@@ -316,7 +315,6 @@ def _run_env_train(args) -> int:
                              reward=args.reward,
                              engine=args.engine,
                              workers=args.workers,
-                             obs_mode=args.obs_mode or "features",
                              update_mode=args.update_mode)
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -428,14 +426,6 @@ def main(argv: list[str] | None = None) -> int:
                              "episode — 'random', 'greedy', any registered "
                              "scheme name, or 'learned:PATH.npz' to serve a "
                              "specific trained checkpoint (default: random)")
-    parser.add_argument("--obs-mode", choices=["dataclass", "features"],
-                        default=None, metavar="MODE",
-                        help="env-rollout/env-train mode: observation path — "
-                             "'features' is the array-backed fast path "
-                             "(bit-identical decisions, rewards and STP; "
-                             "env-train collects with it by default), "
-                             "'dataclass' the typed oracle (env-rollout "
-                             "default)")
     parser.add_argument("--update-mode", choices=["gemm", "rows"],
                         default="gemm", metavar="MODE",
                         help="env-train mode: gradient accumulation — 'gemm' "

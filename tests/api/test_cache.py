@@ -1,6 +1,7 @@
 """Tests for the trained-suite disk cache (:mod:`repro.api.cache`)."""
 
 import pickle
+import re
 
 import pytest
 
@@ -52,7 +53,9 @@ class TestLoadOrTrain:
         path = suite_path(tmp_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not a pickle")
-        suite = load_or_train_suite(cache_dir=tmp_path)
+        with pytest.warns(RuntimeWarning,
+                          match=rf"{re.escape(str(path))} \(UnpicklingError\)"):
+            suite = load_or_train_suite(cache_dir=tmp_path)
         assert suite.is_trained()
         # The corrupt file was overwritten with a valid payload.
         with path.open("rb") as handle:
@@ -74,7 +77,10 @@ class TestLoadOrTrain:
 
         monkeypatch.setattr(cache_module.SchedulerSuite, "ensure_trained",
                             spy)
-        suite = load_or_train_suite(cache_dir=tmp_path)
+        with pytest.warns(RuntimeWarning,
+                          match=rf"{re.escape(str(path))} "
+                                r"\((UnpicklingError|EOFError)\)"):
+            suite = load_or_train_suite(cache_dir=tmp_path)
         assert suite.is_trained() and retrained == [True]
         assert path.read_bytes() != blob[:len(blob) // 2]
 

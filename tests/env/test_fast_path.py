@@ -1,7 +1,8 @@
 """Fast rollout path: bit-for-bit parity pins and regression guards.
 
 The fast collection configuration — ``obs_mode="features"`` (array-backed
-observations), the candidate row cache, and the gemm gradient
+observations, which :func:`repro.env.rollout` picks for every policy that
+declares it), the candidate row cache, and the gemm gradient
 accumulation — is only allowed to be fast: episodes must reproduce the
 dataclass/row-at-a-time oracles exactly (observations, decision traces,
 rewards, STP), and gradient accumulation to numerical precision.  This
@@ -16,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.env import FeatureObservation, SchedulingEnv, rollout
-from repro.env.policies import PolicyAdapter
+from repro.api import Session
+from repro.env import (
+    EpisodeResult,
+    FeatureObservation,
+    SchedulingEnv,
+    make_policy,
+)
 from repro.env.train import LearnedPolicy, ReinforceLearner, TrainConfig
 from repro.env.train.features import (
     CandidateRowCache,
@@ -28,7 +34,22 @@ from repro.env.train.features import (
     snapshot_from_observation,
 )
 from repro.env.train.learner import UPDATE_MODES, IterationStats
+from repro.env.train.scheme import DEFAULT_CHECKPOINT
 from repro.env.train.workers import EpisodeCollector, EpisodeSpec
+from repro.scheduling.registry import scheme_names
+
+
+def drive(env: SchedulingEnv, policy, seed: int) -> list[float]:
+    """Run ``policy`` through ``env`` to the end; returns the rewards."""
+    policy.reset(seed)
+    observation = env.reset(seed=seed,
+                            scheduler_factory=policy.make_scheduler)
+    rewards = []
+    done = False
+    while not done:
+        observation, reward, done, _ = env.step(policy.act(observation))
+        rewards.append(reward)
+    return rewards
 
 
 def run_learned(scenario: str, seed: int, obs_mode: str, *,
@@ -36,21 +57,32 @@ def run_learned(scenario: str, seed: int, obs_mode: str, *,
     """One learned-policy episode; returns (steps, stp, rewards, trace)."""
     rng = (np.random.default_rng(sample_seed)
            if sample_seed is not None else None)
-    policy = LearnedPolicy(record_trace=True, sample_rng=rng,
-                           row_cache=(obs_mode == "features"))
-    result = rollout(scenario, policy, seed=seed, record_rewards=True,
-                     obs_mode=obs_mode,
-                     record_utilization=(obs_mode == "dataclass"))
-    return result.steps, result.stp, tuple(result.rewards), policy.trace
+    policy = LearnedPolicy(record_trace=True, sample_rng=rng)
+    env = SchedulingEnv(scenario, obs_mode=obs_mode,
+                        record_utilization=(obs_mode == "dataclass"))
+    rewards = drive(env, policy, seed)
+    return env.steps, env.evaluation().stp, tuple(rewards), policy.trace
 
 
-def assert_traces_equal(oracle, fast):
-    assert len(oracle) == len(fast)
-    for i, ((f_o, c_o), (f_f, c_f)) in enumerate(zip(oracle, fast)):
+def assert_learned_modes_agree(seed: int, sample_seed=None):
+    """Both observation paths: same steps, STP, rewards and traces."""
+    *oracle, trace_o = run_learned("churn20", seed, "dataclass",
+                                   sample_seed=sample_seed)
+    *fast, trace_f = run_learned("churn20", seed, "features",
+                                 sample_seed=sample_seed)
+    assert oracle == fast
+    assert len(trace_o) == len(trace_f)
+    for i, ((f_o, c_o), (f_f, c_f)) in enumerate(zip(trace_o, trace_f)):
         assert c_o == c_f, f"decision {i}: chosen row differs"
         assert f_o.shape == f_f.shape, f"decision {i}: matrix shape differs"
         assert np.array_equal(f_o, f_f), (
             f"decision {i}: candidate feature matrices differ")
+
+
+@pytest.fixture(scope="module")
+def session():
+    with Session(use_cache=False) as shared:
+        yield shared
 
 
 class TestFastObservationParity:
@@ -58,36 +90,27 @@ class TestFastObservationParity:
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_greedy_episode_is_bit_identical(self, seed):
-        steps_o, stp_o, rewards_o, trace_o = run_learned(
-            "churn20", seed, "dataclass")
-        steps_f, stp_f, rewards_f, trace_f = run_learned(
-            "churn20", seed, "features")
-        assert steps_o == steps_f
-        assert stp_o == stp_f
-        assert rewards_o == rewards_f
-        assert_traces_equal(trace_o, trace_f)
+        assert_learned_modes_agree(seed)
 
     def test_sampled_episode_is_bit_identical(self):
-        sample_seed = (3, 0, 1)
-        steps_o, stp_o, rewards_o, trace_o = run_learned(
-            "churn20", 11, "dataclass", sample_seed=sample_seed)
-        steps_f, stp_f, rewards_f, trace_f = run_learned(
-            "churn20", 11, "features", sample_seed=sample_seed)
-        assert steps_o == steps_f
-        assert stp_o == stp_f
-        assert rewards_o == rewards_f
-        assert_traces_equal(trace_o, trace_f)
+        assert_learned_modes_agree(11, sample_seed=(3, 0, 1))
 
-    def test_native_scheme_sees_no_behaviour_change(self):
+    @pytest.mark.parametrize(
+        "policy_name", scheme_names() + (f"learned:{DEFAULT_CHECKPOINT}",))
+    def test_native_scheme_sees_no_behaviour_change(self, policy_name,
+                                                    session):
+        # rollout() hands every policy the observation it declares.
         # PolicyAdapter epochs are scheme-bound — the observation is
-        # pure overhead — so the fast mode must not move the episode.
-        results = {}
-        for obs_mode in ("dataclass", "features"):
-            result = rollout("churn20", PolicyAdapter("pairwise"), seed=11,
-                             obs_mode=obs_mode,
-                             record_utilization=(obs_mode == "dataclass"))
-            results[obs_mode] = (result.steps, result.stp)
-        assert results["dataclass"] == results["features"]
+        # pure overhead — and the learned policy builds the same
+        # snapshot from either observation, so the declared path must
+        # reproduce the typed dataclass path's whole episode record.
+        declared = session.rollout("churn20", policy_name, seed=11)
+        policy = make_policy(policy_name, suite=session.suite)
+        assert policy.obs_mode == "features"
+        env = SchedulingEnv("churn20", obs_mode="dataclass")
+        drive(env, policy, 11)
+        typed = EpisodeResult.from_env(env, declared.policy)
+        assert declared.to_dict() == typed.to_dict()
 
     def test_features_mode_returns_feature_observations(self):
         env = SchedulingEnv("churn20", obs_mode="features",
@@ -158,7 +181,7 @@ class TestSnapshotProperties:
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_row_cache_matches_uncached_matrix_bitwise(self, data):
+    def test_cached_rows_match_the_full_rebuild_bitwise(self, data):
         # Random snapshot, random bookings: after every mutation the
         # cache-assembled candidate matrix must equal the full rebuild
         # bit for bit (the row-oracle rule).
@@ -276,12 +299,10 @@ class TestGemmUpdate:
             np.testing.assert_allclose(gemm_b, rows_b, rtol=1e-7, atol=1e-9)
 
     def test_config_round_trips_and_validates(self):
-        config = TrainConfig(update_mode="rows", obs_mode="dataclass")
+        config = TrainConfig(update_mode="rows")
         assert TrainConfig.from_dict(config.to_dict()) == config
         with pytest.raises(ValueError):
             TrainConfig(update_mode="nope")
-        with pytest.raises(ValueError):
-            TrainConfig(obs_mode="nope")
 
     def test_legacy_payloads_pin_the_rows_oracle(self):
         # Payloads written before update_mode existed were produced by
@@ -290,6 +311,13 @@ class TestGemmUpdate:
         payload = TrainConfig().to_dict()
         del payload["update_mode"]
         assert TrainConfig.from_dict(payload).update_mode == "rows"
+        # Every payload written while the observation path was a config
+        # field records "obs_mode"; the retired key is dropped and
+        # update_mode resolves exactly as it does without it.
+        for legacy in (payload, {**payload, "update_mode": "gemm"}):
+            config = TrainConfig.from_dict({**legacy, "obs_mode": "dataclass"})
+            assert config == TrainConfig.from_dict(legacy)
+            assert "obs_mode" not in config.to_dict()
 
     def test_committed_curve_config_with_kernel_key_loads(self):
         # The committed training curve predates the single kernel and

@@ -1,4 +1,4 @@
-"""Unit tests for the events/sec gate in ``benchmarks/compare_baseline.py``."""
+"""Unit tests for the per-slice gates in ``benchmarks/compare_baseline.py``."""
 
 import importlib.util
 import json
@@ -87,3 +87,56 @@ class TestThroughputGate:
         assert queue["events_per_s"] >= 3.0 * prior["queue"]["events_per_s"]
         assert set(queue["phases_s"]) == {"arrivals", "faults", "oom",
                                           "schedule", "advance", "other"}
+
+
+
+def case(steps_per_s: float, calibration_s: float = 0.0007, steps: int = 46,
+         stp: float = 8.1185) -> dict:
+    """One rollout case entry: trajectory-pinned, calibration-normalized."""
+    return {"steps_per_s": steps_per_s, "calibration_s": calibration_s,
+            "steps": steps, "stp": stp}
+
+
+def rollout_gate(pr_case: dict, base_case: dict, **extra) -> list[str]:
+    failures: list = []
+    compare_baseline.check_rollout({"cases": {"c": pr_case}, **extra},
+                                   {"cases": {"c": base_case}}, failures)
+    return failures
+
+
+class TestRolloutGate:
+    def test_identical_reports_pass(self):
+        assert rollout_gate(case(800.0), case(800.0)) == []
+
+    def test_stp_drift_fails(self):
+        failures = rollout_gate(case(800.0, stp=8.1186), case(800.0))
+        assert len(failures) == 1 and "trajectory" in failures[0]
+
+    def test_step_count_drift_fails(self):
+        failures = rollout_gate(case(800.0, steps=47), case(800.0))
+        assert len(failures) == 1 and "trajectory" in failures[0]
+
+    def test_regression_beyond_budget_fails(self):
+        slower = 800.0 * (0.95 - compare_baseline.ROLLOUT_MAX_REGRESSION)
+        failures = rollout_gate(case(slower), case(800.0))
+        assert len(failures) == 1 and "normalized steps/sec" in failures[0]
+
+    def test_uniformly_slower_runner_passes(self):
+        # Half the steps/sec, but the reference slices also took twice
+        # as long in the same process: hardware, not a regression.
+        assert rollout_gate(case(400.0, calibration_s=0.0014),
+                            case(800.0)) == []
+
+    def test_committed_checkpoint_mismatch_fails(self):
+        pin = {"committed_stp": 8.1186, "measured_stp": 8.2,
+               "matches": False}
+        failures = rollout_gate(case(800.0), case(800.0),
+                                committed_checkpoint=pin)
+        assert len(failures) == 1 and "committed checkpoint" in failures[0]
+
+    def test_committed_report_feeds_the_gate(self):
+        committed = json.loads((ROOT / "BENCH_rollout.json").read_text())
+        assert len(committed["cases"]) == 4
+        failures: list = []
+        compare_baseline.check_rollout(committed, committed, failures)
+        assert failures == []
