@@ -10,7 +10,10 @@ All of a case's repeats run under one ``perfbench/hostclock.py``
 to span ~25 slices or more.  ``calibration_s`` is the mean slice time
 and ``steps_per_s`` excludes the slices' own time;
 ``benchmarks/compare_baseline.py --rollout`` gates their product (steps
-per reference slice) and pins ``steps`` and ``stp`` exactly.  The
+per reference slice) and pins ``steps`` and ``stp`` exactly.  Each case
+runs :data:`RUNS` times and reports the run where steps per reference
+slice is highest, as ``benchmarks/throughput.py`` does for its tiers:
+host noise only ever lowers that figure.  The
 churn20 learned STP is also pinned to ``BENCH_learned.json``, and a
 ``prerefactor_baseline`` section in the output file is carried over.
 
@@ -51,39 +54,56 @@ CASES = {
 }
 QUICK_CASES = ("churn20_learned", "churn20_pairwise")
 
+#: Whole calibrated runs per case; the best one is reported.
+RUNS = 3
+
 #: Committed checkpoint eval pin: BENCH_learned.json stp_per_seed for
 #: churn20 seed 11 (rounded to 4 decimals exactly as that report does).
 LEARNED_BENCH = ROOT / "BENCH_learned.json"
 
 
-def run_case(name: str, scenario: str, kind: str, repeats: int) -> dict:
+def run_once(scenario: str, policy, repeats: int) -> dict:
     """``repeats`` episodes of one case under one calibrated clock."""
-    policy = LearnedPolicy() if kind == "learned" else PolicyAdapter(kind)
     start = time.perf_counter()
     with CalibratedClock() as clock:
         results = [rollout(scenario, policy, seed=SEED, engine=ENGINE,
                            record_utilization=False)
                    for _ in range(repeats)]
     host_s = time.perf_counter() - start
-    trajectories = {(result.steps, result.stp) for result in results}
+    wall = host_s - clock.slice_s
+    steps = sum(result.steps for result in results)
+    calibration_s = clock.slice_s / clock.slices
+    return {"results": results, "slices": clock.slices, "wall": wall,
+            "calibration_s": calibration_s,
+            "normalised": steps / wall * calibration_s}
+
+
+def run_case(name: str, scenario: str, kind: str, repeats: int) -> dict:
+    """:data:`RUNS` calibrated runs of one case; reports the best one."""
+    policy = LearnedPolicy() if kind == "learned" else PolicyAdapter(kind)
+    runs = [run_once(scenario, policy, repeats) for _ in range(RUNS)]
+    trajectories = {(result.steps, result.stp)
+                    for run in runs for result in run["results"]}
     if len(trajectories) != 1:
         raise RuntimeError(f"case {name!r}: repeated seeded episodes "
                            f"diverge ({sorted(trajectories)})")
     (episode_steps, stp), = trajectories
-    wall = host_s - clock.slice_s
+    best = max(runs, key=lambda run: run["normalised"])
     report = {
         "scenario": scenario,
         "policy": kind,
         "repeats": repeats,
-        "slices": clock.slices,
+        "runs": RUNS,
+        "slices": best["slices"],
         "steps": episode_steps,
         "stp": stp,
-        "steps_per_s": round(episode_steps * repeats / wall, 1),
-        "calibration_s": round(clock.slice_s / clock.slices, 7),
+        "steps_per_s": round(episode_steps * repeats / best["wall"], 1),
+        "calibration_s": round(best["calibration_s"], 7),
     }
     print(f"[{name}]   {report['steps_per_s']:,.0f} steps/s, "
           f"{report['steps_per_s'] * report['calibration_s']:.3f} steps "
-          f"per reference slice over {clock.slices} slices",
+          f"per reference slice over {best['slices']} slices (best of "
+          f"{RUNS} runs)",
           flush=True, file=sys.stderr)
     return report
 

@@ -34,15 +34,11 @@ class Cluster:
 
     nodes: list[Node] = field(default_factory=list)
     state: ClusterState = field(init=False, repr=False, compare=False)
-    #: Object-array mirror of ``nodes`` so placement scans can gather
-    #: node objects with one fancy index instead of a Python loop.
-    _node_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.state = ClusterState(len(self.nodes))
         for node in self.nodes:
             self.state.adopt_node(node)
-        self._node_arr = np.array(self.nodes, dtype=object)
 
     @classmethod
     def homogeneous(cls, n_nodes: int, ram_gb: float = 64.0, swap_gb: float = 16.0,
@@ -96,7 +92,6 @@ class Cluster:
                     swap_gb=swap_gb, cores=cores)
         self.nodes.append(node)
         self.state.adopt_node(node)
-        self._node_arr = np.array(self.nodes, dtype=object)
         return node
 
     def up_nodes(self) -> list[Node]:
@@ -113,10 +108,6 @@ class Cluster:
         """Aggregate physical memory across the cluster."""
         return sum(node.ram_gb for node in self.nodes)
 
-    def total_reserved_memory_gb(self) -> float:
-        """Aggregate memory currently promised to executors."""
-        return sum(node.reserved_memory_gb for node in self.nodes)
-
     def nodes_by_free_memory(self) -> list[Node]:
         """Live nodes sorted by unreserved memory, most available first.
 
@@ -132,7 +123,7 @@ class Cluster:
         np.maximum(free, 0.0, out=free)
         order = np.argsort(-free, kind="stable")
         order = order[rows["up"][order]]
-        return self._node_arr[order].tolist()
+        return [self.nodes[i] for i in order.tolist()]
 
     def idle_nodes(self) -> list[Node]:
         """Live nodes that currently host no active executor."""

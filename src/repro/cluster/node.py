@@ -7,13 +7,15 @@ are tracked separately from the *actual* footprints, which the simulator
 computes from ground truth — the gap between the two is exactly where
 mispredicted memory requirements cause paging or out-of-memory failures.
 
-Since the array-backed kernel core (:mod:`repro.cluster.state`), a node
-that belongs to a :class:`~repro.cluster.cluster.Cluster` is a thin view
-over one slot of the cluster's node array: the ``is_up``/``speed_factor``
-flags are dual-written (scalar for fast object reads, array column for
-vectorized scans) and the cached reservation aggregates are mirrored
-into the array by :meth:`Node._refresh`, so the engines' capacity
-accounting runs over columns while schedulers keep the object API.
+A node is a pure view over one slot of its cluster's node array
+(:mod:`repro.cluster.state`): the up flag, the speed factor and the
+reservation aggregates live only in the ``NODE_DTYPE`` columns, which
+the properties below read and the mutators write.  A node is therefore
+usable only once a :class:`~repro.cluster.cluster.Cluster` has adopted
+it.  Co-running executors share the node's cores (Section 4.3); the
+engines model that sharing with their per-node ``cpu_factor``, which
+scales every executor's progress down when the aggregate CPU demand
+exceeds 100 %, so no per-executor thread count is kept.
 """
 
 from __future__ import annotations
@@ -40,43 +42,25 @@ class Node:
     """
 
     __slots__ = ("node_id", "ram_gb", "swap_gb", "cores", "executors",
-                 "_is_up", "_speed_factor", "_state", "_slot",
-                 "_dirty", "_active", "_apps",
-                 "_reserved_memory", "_reserved_cpu")
+                 "_state", "_slot")
 
     def __init__(self, node_id: int, ram_gb: float = 64.0,
-                 swap_gb: float = 16.0, cores: int = 16,
-                 executors: list[Executor] | None = None,
-                 is_up: bool = True, speed_factor: float = 1.0) -> None:
+                 swap_gb: float = 16.0, cores: int = 16) -> None:
         if ram_gb <= 0:
             raise ValueError("ram_gb must be positive")
         if swap_gb < 0:
             raise ValueError("swap_gb cannot be negative")
         if cores < 1:
             raise ValueError("cores must be at least 1")
-        if speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
         self.node_id = node_id
         self.ram_gb = ram_gb
         self.swap_gb = swap_gb
         self.cores = cores
-        self.executors: list[Executor] = (
-            list(executors) if executors is not None else [])
-        self._is_up = bool(is_up)
-        self._speed_factor = float(speed_factor)
+        self.executors: list[Executor] = []
         # Array-slot view: set by ClusterState.adopt_node when the node
-        # joins a cluster; standalone nodes work purely off the scalars.
+        # joins a cluster.
         self._state = None
         self._slot = None
-        # Reservation aggregates are queried by schedulers many times per
-        # placement pass; they are cached and invalidated on membership
-        # changes and executor state transitions (executors notify their
-        # node).
-        self._dirty = True
-        self._active: list[Executor] = []
-        self._apps: set[str] = set()
-        self._reserved_memory = 0.0
-        self._reserved_cpu = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Node(node_id={self.node_id}, ram_gb={self.ram_gb}, "
@@ -85,7 +69,7 @@ class Node:
                 f"speed_factor={self.speed_factor})")
 
     # ------------------------------------------------------------------
-    # Dual-written dynamic flags
+    # Dynamic flags (array columns)
     # ------------------------------------------------------------------
     @property
     def is_up(self) -> bool:
@@ -95,13 +79,7 @@ class Node:
         stable) but are skipped by every placement scan and admission
         test.
         """
-        return self._is_up
-
-    @is_up.setter
-    def is_up(self, value: bool) -> None:
-        self._is_up = bool(value)
-        if self._state is not None:
-            self._state._node["up"][self._slot] = self._is_up
+        return bool(self._state._node["up"][self._slot])
 
     @property
     def speed_factor(self) -> float:
@@ -110,39 +88,32 @@ class Node:
         The straggler fault model lowers it below 1.0 and restores it on
         recovery.  Healthy nodes run at exactly 1.0.
         """
-        return self._speed_factor
-
-    @speed_factor.setter
-    def speed_factor(self, value: float) -> None:
-        self._speed_factor = float(value)
-        if self._state is not None:
-            self._state._node["speed"][self._slot] = self._speed_factor
-            # Speed is not a reservation aggregate, so no dirty refresh
-            # is needed — but version-cached feature snapshots
-            # (NodeFeatures) must observe straggler onset/recovery, so
-            # the mutation still has to move the state version.
-            self._state.version += 1
+        return float(self._state._node["speed"][self._slot])
 
     # ------------------------------------------------------------------
     # Dynamic-cluster state transitions
     # ------------------------------------------------------------------
     def mark_down(self) -> None:
         """Take the node out of the live cluster (failure/decommission)."""
-        self.is_up = False
-        self.speed_factor = 1.0
+        self._state._node["up"][self._slot] = False
+        self.set_speed(1.0)
         self.invalidate_reservations()
 
     def mark_up(self) -> None:
         """Return a failed node to the live cluster, at full speed."""
-        self.is_up = True
-        self.speed_factor = 1.0
+        self._state._node["up"][self._slot] = True
+        self.set_speed(1.0)
         self.invalidate_reservations()
 
     def set_speed(self, factor: float) -> None:
         """Set the straggler progress multiplier (1.0 = healthy)."""
         if factor <= 0:
             raise ValueError("speed_factor must be positive")
-        self.speed_factor = factor
+        self._state._node["speed"][self._slot] = factor
+        # Speed is not a reservation aggregate, so the node stays clean —
+        # but version-cached feature snapshots (NodeFeatures) must observe
+        # straggler onset/recovery, so the mutation still moves the version.
+        self._state.version += 1
 
     # ------------------------------------------------------------------
     # Executor management
@@ -153,28 +124,23 @@ class Node:
             raise ValueError("executor is destined for a different node")
         self.executors.append(executor)
         executor._node = self
-        if self._state is not None and executor._state is None:
-            self._state.adopt_executor(executor, self._slot)
-        if not self._dirty and executor.is_active:
+        state, slot = self._state, self._slot
+        if executor._state is None:
+            state.adopt_executor(executor, slot)
+        if executor.is_active and slot not in state._dirty_nodes:
             # Appending an active executor to a clean node updates the
-            # cached aggregates incrementally.  This is bit-for-bit equal
-            # to the full recompute: python's sum() accumulates left to
-            # right and the newcomer sits at the end of the active list,
-            # so old_sum + budget IS the recomputed sum.  (Removals
-            # cannot be done this way — subtraction is not the exact
-            # inverse of sequential addition — and still invalidate.)
-            self._active.append(executor)
-            self._apps.add(executor.app_name)
-            self._reserved_memory += executor.memory_budget_gb
-            self._reserved_cpu += executor.cpu_demand
-            if self._state is not None:
-                row = self._state._node[self._slot]
-                row["reserved_mem_gb"] = self._reserved_memory
-                row["reserved_cpu"] = self._reserved_cpu
-                row["n_active"] = len(self._active)
+            # aggregate columns in place.  This is bit-for-bit equal to
+            # the full refresh: python's sum() accumulates left to right
+            # and the newcomer sits at the end of the active list, so
+            # old_sum + budget IS the recomputed sum.  (Removals cannot be
+            # done this way — subtraction is not the exact inverse of
+            # sequential addition — and still invalidate.)
+            row = state._node[slot]
+            row["reserved_mem_gb"] += executor.memory_budget_gb
+            row["reserved_cpu"] += executor.cpu_demand
+            row["n_active"] += 1
         else:
             self.invalidate_reservations()
-        self.rebalance_threads()
 
     def remove_executor(self, executor: Executor) -> None:
         """Remove an executor (finished or failed) from this node."""
@@ -183,61 +149,32 @@ class Node:
         if executor._state is not None:
             executor._state.evict_executor(executor)
         self.invalidate_reservations()
-        self.rebalance_threads()
 
     def invalidate_reservations(self) -> None:
-        """Drop the cached aggregates (membership or activity changed)."""
-        self._dirty = True
-        if self._state is not None:
-            self._state.mark_node_dirty(self._slot)
-
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        self._active = [e for e in self.executors if e.is_active]
-        self._apps = {e.app_name for e in self._active}
-        self._reserved_memory = sum(e.memory_budget_gb for e in self._active)
-        self._reserved_cpu = sum(e.cpu_demand for e in self._active)
-        self._dirty = False
-        if self._state is not None:
-            row = self._state._node[self._slot]
-            row["reserved_mem_gb"] = self._reserved_memory
-            row["reserved_cpu"] = self._reserved_cpu
-            row["n_active"] = len(self._active)
+        """Mark the aggregate columns stale (membership or activity changed)."""
+        self._state.mark_node_dirty(self._slot)
 
     def active_executors(self) -> list[Executor]:
         """Executors still running work on this node."""
-        self._refresh()
-        return list(self._active)
+        return [e for e in self.executors if e.is_active]
 
     def applications(self) -> set[str]:
         """Names of the applications with an active executor on this node."""
-        self._refresh()
-        return set(self._apps)
-
-    def rebalance_threads(self) -> None:
-        """Evenly distribute the node's cores across active executors.
-
-        The paper dynamically adjusts the number of threads created by each
-        executor so that co-running executors share processor cores evenly
-        (Section 4.3).
-        """
-        self._refresh()
-        active = self._active
-        if not active:
-            return
-        share = max(1, self.cores // len(active))
-        for executor in active:
-            executor.threads = share
+        return {e.app_name for e in self.executors if e.is_active}
 
     # ------------------------------------------------------------------
     # Reservation (scheduler-side) accounting
     # ------------------------------------------------------------------
+    def _aggregate(self, column: str) -> float:
+        state, slot = self._state, self._slot
+        if slot in state._dirty_nodes:
+            state.refresh_node(slot)
+        return float(state._node[column][slot])
+
     @property
     def reserved_memory_gb(self) -> float:
         """Total heap granted to executors still running on this node."""
-        self._refresh()
-        return self._reserved_memory
+        return self._aggregate("reserved_mem_gb")
 
     @property
     def free_reserved_memory_gb(self) -> float:
@@ -247,8 +184,7 @@ class Node:
     @property
     def reserved_cpu_load(self) -> float:
         """Aggregate CPU demand of the active executors on this node."""
-        self._refresh()
-        return self._reserved_cpu
+        return self._aggregate("reserved_cpu")
 
     @property
     def free_cpu_load(self) -> float:

@@ -276,15 +276,6 @@ class StreamingUtilization:
                                 dtype=np.intp)
         self._last_ids = list(ids)
 
-    def node_mean_percent(self, node_id: int) -> float:
-        """Running mean utilisation of one node (0 when never sampled)."""
-        if not self._n_samples:
-            return 0.0
-        idx = self._pos.get(node_id)
-        if idx is None:
-            return 0.0
-        return float(self._sums[idx] / self._n_samples)
-
     def mean_percent(self) -> float:
         """Mean utilisation across nodes and time (per-node means averaged)."""
         if not len(self._sums) or not self._n_samples:

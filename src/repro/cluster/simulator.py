@@ -52,7 +52,6 @@ from repro.cluster.resource_monitor import (
     StreamingUtilization,
     UtilizationTraceRecorder,
 )
-from repro.cluster.yarn import ContainerRequest, ResourceManager
 from repro.spark.application import ApplicationState, SparkApplication
 from repro.spark.executor import Executor
 from repro.workloads.benchmark import BenchmarkSpec
@@ -317,14 +316,6 @@ class SchedulingContext:
         self._features = NodeFeatures(sim)
         return self._features
 
-    def running_apps(self) -> list[SparkApplication]:
-        """Applications that currently have at least one active executor."""
-        return [app for app in self._sim.submission_order if app.active_executors]
-
-    def node_free_memory_gb(self, node_id: int) -> float:
-        """Unreserved memory on a node (scheduler's own bookkeeping)."""
-        return self._sim.cluster.node(node_id).free_reserved_memory_gb
-
     def node_cpu_headroom(self, node_id: int) -> float:
         """CPU headroom on a node before aggregate load reaches 100 %.
 
@@ -355,11 +346,6 @@ class SchedulingContext:
         granted = app.take_unassigned(data_gb)
         if granted <= 1e-9:
             return None
-        request = ContainerRequest(app_name=app.name, node_id=node_id,
-                                   memory_gb=memory_budget_gb,
-                                   cpu_load=spec.cpu_load)
-        if enforce_admission:
-            self._sim.resource_manager.grant(request)
         executor = Executor(app_name=app.name, node_id=node_id,
                             memory_budget_gb=memory_budget_gb,
                             assigned_gb=granted, cpu_demand=spec.cpu_load,
@@ -404,7 +390,6 @@ class ClusterSimulator:
         self.scheduler = scheduler
         self.time_step_min = time_step_min
         self.interference = interference or InterferenceModel()
-        self.resource_manager = ResourceManager(cluster=cluster)
         self.max_time_min = max_time_min
         self.record_utilization = record_utilization
         self.faults = faults

@@ -14,14 +14,20 @@ Ownership and invalidation rules (see ``docs/ARCHITECTURE.md``):
 
 * The :class:`~repro.cluster.cluster.Cluster` owns exactly one
   ``ClusterState``; nodes and executors are *adopted* into it when they
-  join the cluster and *evicted* when they leave.
+  join the cluster, and executors are *evicted* when they leave.
 * Executor slots are append-only — slot order equals spawn order equals
   ``executor_id`` order — and compaction (:meth:`ClusterState.compact`)
   preserves that order, so vectorized reductions over slots reproduce
   the per-object iteration order bit for bit.
+* Node state lives only in the node columns: a node never gives up its
+  slot (down nodes stay in the array), so the ``Node`` object keeps no
+  copy of it.  Executors and applications outlive their slots, so they
+  keep scalars of their own: executors copy theirs back at eviction,
+  applications dual-write theirs.
 * Node reservation aggregates are recomputed lazily: mutations mark a
-  node dirty and :meth:`refresh_dirty` re-runs the (order-preserving,
-  hence bit-exact) per-node Python sums only for dirty nodes.
+  node dirty (``_dirty_nodes`` is the only dirty flag) and
+  :meth:`refresh_dirty` re-runs the (order-preserving, hence bit-exact)
+  per-node Python sums only for dirty nodes.
 * Schedulers never see these arrays: they keep talking to ``Node`` /
   ``SchedulingContext``, whose reads are backed by the same slots.
 """
@@ -32,9 +38,11 @@ import numpy as np
 
 __all__ = ["ClusterState", "NODE_DTYPE", "EXEC_DTYPE", "APP_DTYPE"]
 
-#: Per-node columns.  Static capacities are copied in at adoption;
-#: ``up``/``speed`` are dual-written by the Node mutators; the
-#: reservation aggregates are written by ``Node._refresh``.
+#: Per-node columns, the only store of node state.  Static capacities
+#: are copied in at adoption; ``up``/``speed`` are written by the Node
+#: mutators; the reservation aggregates are written by
+#: :meth:`ClusterState.refresh_node` (or in place when an active
+#: executor joins a clean node).
 NODE_DTYPE = np.dtype([
     ("ram_gb", np.float64),
     ("swap_gb", np.float64),
@@ -155,17 +163,14 @@ class ClusterState:
         row["ram_gb"] = node.ram_gb
         row["swap_gb"] = node.swap_gb
         row["cores"] = node.cores
-        row["up"] = node.is_up
-        row["speed"] = node.speed_factor
+        row["up"] = True
+        row["speed"] = 1.0
         self.node_objs.append(node)
         self.node_ids.append(int(node.node_id))
         self.n_nodes = slot + 1
         node._state = self
         node._slot = slot
         node.invalidate_reservations()
-        for executor in node.executors:
-            if getattr(executor, "_state", None) is None:
-                self.adopt_executor(executor, slot)
         return slot
 
     def adopt_executor(self, executor, node_slot: int) -> int:
@@ -258,18 +263,23 @@ class ClusterState:
         self._dirty_nodes.add(slot)
 
     def refresh_dirty(self) -> None:
-        """Re-run the per-node refresh for every dirty node.
+        """Run :meth:`refresh_node` for every dirty node."""
+        for slot in tuple(self._dirty_nodes):
+            self.refresh_node(slot)
 
-        The refresh is ``Node._refresh``: a Python sum in executor
-        insertion order, which writes the aggregates into the node
-        columns as a side effect.
+    def refresh_node(self, slot: int) -> None:
+        """Recompute one node's reservation aggregates and mark it clean.
+
+        The aggregates are left-to-right Python sums over the node's
+        active executors in insertion order, written straight into the
+        node columns.
         """
-        if not self._dirty_nodes:
-            return
-        dirty, self._dirty_nodes = self._dirty_nodes, set()
-        node_objs = self.node_objs
-        for slot in dirty:
-            node_objs[slot]._refresh()
+        self._dirty_nodes.discard(slot)
+        active = [e for e in self.node_objs[slot].executors if e.is_active]
+        row = self._node[slot]
+        row["reserved_mem_gb"] = sum(e.memory_budget_gb for e in active)
+        row["reserved_cpu"] = sum(e.cpu_demand for e in active)
+        row["n_active"] = len(active)
 
     # ------------------------------------------------------------------
     # Pending-job queue (array-backed arrival queue)

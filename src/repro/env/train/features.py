@@ -187,9 +187,9 @@ def snapshot_from_state(ctx, allocation_policy) -> EpochSnapshot:
     arrays are gathered from the cached
     :class:`~repro.cluster.simulator.NodeFeatures` epoch snapshot (one
     boolean-mask gather per column) instead of one Python attribute
-    read per node.  Every gathered column is written by
-    ``ClusterState.refresh_dirty`` from the same cached scalars the
-    :class:`~repro.cluster.node.Node` properties return, and the two
+    read per node.  Every gathered column is the one the
+    :class:`~repro.cluster.node.Node` properties read (refreshed by
+    ``ClusterState.refresh_dirty`` before the snapshot), and the two
     derived columns use the same elementwise float64 expressions
     (``max(ram - reserved, 0)``, ``1 - reserved_cpu``), so the arrays
     are bit-identical to :func:`snapshot_from_observation`'s on the

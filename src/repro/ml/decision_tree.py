@@ -78,10 +78,6 @@ class DecisionTreeClassifier:
         self._root = self._grow(X, y, depth=0)
         return self
 
-    def _majority(self, y: np.ndarray) -> object:
-        values, counts = np.unique(y, return_counts=True)
-        return values[np.argmax(counts)]
-
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
             return np.arange(n_features)

@@ -175,13 +175,16 @@ class ContextMonitor:
         grid-aligned epochs, so the snapshot — hence any decision taken
         from it — is engine-independent.
         """
-        up = ctx.cluster.up_nodes()
-        counts = [len(node.active_executors()) for node in up]
+        features = ctx.node_features()
+        up = features.up
+        # Python float sums in node-id order, not np.sum (pairwise): the
+        # golden corpus pins these bits through every meta decision.
+        counts = features.n_active[up].tolist()
         skew = 0.0
         if counts:
             skew = float(max(counts)) - float(np.mean(counts))
-        capacity = sum(node.ram_gb for node in up)
-        free = sum(node.free_reserved_memory_gb for node in up)
+        capacity = sum(features.ram_gb[up].tolist())
+        free = sum(features.free_gb[up].tolist())
         pressure = 1.0 - free / capacity if capacity > 0 else 1.0
         return ContextSignals(
             time_min=ctx.now,

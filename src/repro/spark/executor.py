@@ -5,7 +5,8 @@ partitions and runs parallel tasks.  The paper's scheduler operates at the
 executor granularity: it spawns additional executors on nodes with spare
 memory, sizes their heap using the predicted memory function, and adjusts
 the number of task threads so co-running executors share the node's cores
-evenly (Section 4.3).
+evenly (Section 4.3).  The simulator models that sharing through the
+engines' per-node CPU factor, so an executor keeps no thread count.
 
 Since the array-backed kernel core (:mod:`repro.cluster.state`), an
 executor placed on a cluster node is a thin *view* over one slot of the
@@ -51,17 +52,14 @@ class Executor:
         processing.
     cpu_demand:
         CPU demand (fraction of the node) inherited from the application.
-    threads:
-        Task threads currently allotted; the simulator rebalances this when
-        executors join or leave a node.
     """
 
     __slots__ = ("app_name", "node_id", "memory_budget_gb", "cpu_demand",
-                 "threads", "executor_id", "state", "app_index",
+                 "executor_id", "state", "app_index",
                  "_assigned_gb", "_processed_gb", "_node", "_state", "_slot")
 
     def __init__(self, app_name: str, node_id: int, memory_budget_gb: float,
-                 assigned_gb: float, cpu_demand: float, threads: int = 1,
+                 assigned_gb: float, cpu_demand: float,
                  executor_id: int | None = None, processed_gb: float = 0.0,
                  state: ExecutorState = ExecutorState.RUNNING,
                  app_index: int = -1) -> None:
@@ -71,13 +69,10 @@ class Executor:
             raise ValueError("assigned_gb cannot be negative")
         if not 0 < cpu_demand <= 1.0:
             raise ValueError("cpu_demand must be in (0, 1]")
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
         self.app_name = app_name
         self.node_id = node_id
         self.memory_budget_gb = memory_budget_gb
         self.cpu_demand = cpu_demand
-        self.threads = threads
         self.executor_id = (next(_EXECUTOR_IDS) if executor_id is None
                             else executor_id)
         self.state = state
@@ -88,9 +83,8 @@ class Executor:
         self._assigned_gb = assigned_gb
         self._processed_gb = processed_gb
         # Back-reference to the hosting Node, set by Node.add_executor;
-        # state transitions notify it so the node's cached reservation
-        # aggregates stay coherent without rescanning executors on every
-        # query.
+        # state transitions notify it so the node's reservation columns
+        # are marked stale and recomputed lazily, not on every query.
         self._node = None
         # Array-slot view: set by ClusterState.adopt_executor while the
         # executor is placed on a cluster node, cleared at eviction.
@@ -102,7 +96,7 @@ class Executor:
                 f"node_id={self.node_id}, "
                 f"memory_budget_gb={self.memory_budget_gb}, "
                 f"assigned_gb={self.assigned_gb}, "
-                f"cpu_demand={self.cpu_demand}, threads={self.threads}, "
+                f"cpu_demand={self.cpu_demand}, "
                 f"executor_id={self.executor_id}, "
                 f"processed_gb={self.processed_gb}, state={self.state})")
 

@@ -88,10 +88,6 @@ class RDD:
         """Number of partitions in the dataset."""
         return len(self.partitions)
 
-    def unprocessed_partitions(self) -> list[Partition]:
-        """Partitions that still need processing, in index order."""
-        return [p for p in self.partitions if p.index not in self._processed]
-
     def take_unprocessed(self, target_gb: float) -> list[Partition]:
         """Mark roughly ``target_gb`` of unprocessed partitions as taken.
 

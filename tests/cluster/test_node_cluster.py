@@ -1,12 +1,10 @@
-"""Tests for nodes, the cluster, the resource monitor and YARN bookkeeping."""
+"""Tests for nodes, the cluster and the resource monitor."""
 
 import pytest
 
 from repro.cluster import (
     Cluster,
-    ContainerRequest,
     Node,
-    ResourceManager,
     ResourceMonitor,
     paper_cluster,
 )
@@ -18,43 +16,38 @@ def make_executor(node_id=0, budget=10.0, data=5.0, cpu=0.3, app="app"):
                     assigned_gb=data, cpu_demand=cpu)
 
 
+def one_node(**kwargs):
+    """The only node of a one-node cluster (a node needs a cluster slot)."""
+    return Cluster.homogeneous(1, **kwargs).node(0)
+
+
 class TestNode:
     def test_reservation_accounting(self):
-        node = Node(node_id=0, ram_gb=64.0)
+        node = one_node(ram_gb=64.0)
         node.add_executor(make_executor(budget=20.0))
         node.add_executor(make_executor(budget=10.0, app="other"))
         assert node.reserved_memory_gb == pytest.approx(30.0)
         assert node.free_reserved_memory_gb == pytest.approx(34.0)
 
     def test_cpu_accounting(self):
-        node = Node(node_id=0)
+        node = one_node()
         node.add_executor(make_executor(cpu=0.4))
         node.add_executor(make_executor(cpu=0.3, app="other"))
         assert node.reserved_cpu_load == pytest.approx(0.7)
         assert node.free_cpu_load == pytest.approx(0.3)
 
     def test_can_host_respects_memory_and_cpu(self):
-        node = Node(node_id=0, ram_gb=64.0)
+        node = one_node(ram_gb=64.0)
         node.add_executor(make_executor(budget=60.0, cpu=0.5))
         assert not node.can_host(memory_gb=10.0, cpu_load=0.1)     # memory
         assert not node.can_host(memory_gb=2.0, cpu_load=0.6)      # cpu
         assert node.can_host(memory_gb=2.0, cpu_load=0.4)
 
     def test_can_host_rejects_non_positive_memory(self):
-        assert not Node(node_id=0).can_host(memory_gb=0.0, cpu_load=0.1)
-
-    def test_thread_rebalancing_splits_cores(self):
-        node = Node(node_id=0, cores=16)
-        first = make_executor()
-        second = make_executor(app="other")
-        node.add_executor(first)
-        assert first.threads == 16
-        node.add_executor(second)
-        assert first.threads == 8
-        assert second.threads == 8
+        assert not one_node().can_host(memory_gb=0.0, cpu_load=0.1)
 
     def test_finished_executor_frees_reservation(self):
-        node = Node(node_id=0)
+        node = one_node()
         executor = make_executor(budget=30.0, data=1.0)
         node.add_executor(executor)
         executor.advance(1.0)
@@ -62,9 +55,9 @@ class TestNode:
         assert node.applications() == set()
 
     def test_executor_for_wrong_node_rejected(self):
-        node = Node(node_id=3)
+        node = one_node()
         with pytest.raises(ValueError):
-            node.add_executor(make_executor(node_id=0))
+            node.add_executor(make_executor(node_id=3))
 
     def test_invalid_node_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -129,30 +122,3 @@ class TestResourceMonitor:
             ResourceMonitor(window_min=0.0)
         with pytest.raises(ValueError):
             ResourceMonitor().record(0.0, 0, memory_gb=-1.0, cpu_load=0.0)
-
-
-class TestResourceManager:
-    def test_grant_and_release(self):
-        cluster = Cluster.homogeneous(1)
-        manager = ResourceManager(cluster=cluster)
-        request = ContainerRequest(app_name="a", node_id=0, memory_gb=10.0,
-                                   cpu_load=0.3)
-        grant = manager.grant(request)
-        assert manager.granted_memory_gb(0) == pytest.approx(10.0)
-        manager.release(grant)
-        assert manager.granted_memory_gb(0) == 0.0
-
-    def test_grant_refused_when_node_cannot_host(self):
-        cluster = Cluster.homogeneous(1, ram_gb=16.0)
-        manager = ResourceManager(cluster=cluster)
-        request = ContainerRequest(app_name="a", node_id=0, memory_gb=32.0,
-                                   cpu_load=0.3)
-        assert not manager.can_satisfy(request)
-        with pytest.raises(RuntimeError):
-            manager.grant(request)
-
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            ContainerRequest(app_name="a", node_id=0, memory_gb=0.0, cpu_load=0.5)
-        with pytest.raises(ValueError):
-            ContainerRequest(app_name="a", node_id=0, memory_gb=1.0, cpu_load=0.0)

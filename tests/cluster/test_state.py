@@ -3,10 +3,13 @@
 The Node/Executor objects are thin views over structured-array slots;
 these tests drive random sequences of the mutations the simulator
 performs — spawns, progress, finishes, node failures and recoveries,
-straggler onset, autoscale joins, compaction — and assert after every
-step that the object API and the array columns describe the same world,
-in both directions (writes through views land in the arrays; array rows
-answer exactly what recomputing from the objects answers).
+straggler onset, autoscale joins, compaction — and assert after each
+drawn batch of 1-4 steps that the object API and the array columns
+describe the same world, in both directions (writes through views land
+in the arrays; array rows answer exactly what recomputing from the
+objects answers).  Batching lets a spawn land on a node that an earlier
+step of the same batch left dirty, as it does between two engine
+refreshes.
 """
 
 from hypothesis import given, settings
@@ -71,7 +74,9 @@ def test_views_round_trip_under_random_churn(data):
     spawned = 0
     removed: list[tuple[Executor, float, float]] = []
 
-    for _ in range(data.draw(st.integers(10, 60), label="n_ops")):
+    n_ops = data.draw(st.integers(10, 60), label="n_ops")
+    until_check = data.draw(st.integers(1, 4), label="batch")
+    for step in range(n_ops):
         op = data.draw(st.sampled_from(OPS), label="op")
         live = [e for n in cluster.nodes for e in n.executors]
         running = [e for e in live if e.state is ExecutorState.RUNNING]
@@ -116,7 +121,10 @@ def test_views_round_trip_under_random_churn(data):
             cluster.add_node()
         elif op == "compact":
             cluster.state.compact()
-        check_round_trip(cluster)
+        until_check -= 1
+        if until_check == 0 or step == n_ops - 1:
+            check_round_trip(cluster)
+            until_check = data.draw(st.integers(1, 4), label="batch")
 
     # Evicted executors answer from their own scalars again: the values
     # the arrays held at eviction survive (the application layer sums
