@@ -59,6 +59,65 @@ class TestNode:
         with pytest.raises(ValueError):
             node.add_executor(make_executor(node_id=3))
 
+    def test_set_speed_writes_column_and_moves_version(self):
+        cluster = Cluster.homogeneous(1)
+        node, state = cluster.node(0), cluster.state
+        state.refresh_dirty()
+        version = state.version
+        node.set_speed(0.5)
+        assert node.speed_factor == 0.5
+        assert state.nodes_view()["speed"][0] == 0.5
+        assert state.version > version
+        assert 0 not in state._dirty_nodes
+        with pytest.raises(ValueError):
+            node.set_speed(0.0)
+
+    def test_mark_down_refuses_hosting_until_mark_up(self):
+        cluster = Cluster.homogeneous(1)
+        node = cluster.node(0)
+        node.set_speed(0.5)
+        node.mark_down()
+        assert not node.is_up
+        assert not cluster.state.nodes_view()["up"][0]
+        assert node.speed_factor == 1.0
+        assert not node.can_host(memory_gb=1.0, cpu_load=0.1)
+        node.mark_up()
+        assert node.is_up
+        assert node.can_host(memory_gb=1.0, cpu_load=0.1)
+
+    def test_add_to_clean_node_matches_full_refresh(self):
+        cluster = Cluster.homogeneous(1)
+        node, state = cluster.node(0), cluster.state
+        node.reserved_memory_gb                      # refresh: node clean
+        budgets, cpus = (10.1, 0.7, 3.3), (0.1, 0.2, 0.3)
+        for i, (budget, cpu) in enumerate(zip(budgets, cpus)):
+            node.add_executor(make_executor(budget=budget, cpu=cpu,
+                                            app=f"app-{i}"))
+        assert 0 not in state._dirty_nodes           # updated in place
+        row = state.nodes_view()[0]
+        in_place = (row["reserved_mem_gb"], row["reserved_cpu"],
+                    row["n_active"])
+        state.refresh_node(0)
+        row = state.nodes_view()[0]
+        assert (row["reserved_mem_gb"], row["reserved_cpu"],
+                row["n_active"]) == in_place
+        assert in_place == (sum(budgets), sum(cpus), 3)
+
+    def test_add_to_dirty_node_is_summed_on_read(self):
+        cluster = Cluster.homogeneous(1)
+        node, state = cluster.node(0), cluster.state
+        first = make_executor(budget=20.0, data=1.0, app="first")
+        node.add_executor(first)
+        node.reserved_memory_gb                      # refresh: node clean
+        first.advance(1.0)                           # finishes: node dirty
+        node.add_executor(make_executor(budget=7.0, cpu=0.25, app="second"))
+        assert 0 in state._dirty_nodes
+        assert node.reserved_memory_gb == 7.0
+        assert node.reserved_cpu_load == 0.25
+        assert 0 not in state._dirty_nodes
+        assert state.nodes_view()["n_active"][0] == 1
+        assert node.applications() == {"second"}
+
     def test_invalid_node_parameters_raise(self):
         with pytest.raises(ValueError):
             Node(node_id=0, ram_gb=0.0)

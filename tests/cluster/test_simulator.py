@@ -112,6 +112,32 @@ class TestBasicExecution:
                          max_time_min=10.0)
         assert not result.all_finished()
 
+    def test_spawn_refused_when_node_cannot_host(self):
+        class OversizedScheduler:
+            """Asks once for more heap than a node has, with admission on."""
+
+            def __init__(self):
+                self.outcomes = []
+
+            def schedule(self, ctx):
+                for app in ctx.waiting_apps():
+                    if self.outcomes:
+                        return
+                    before = app.unassigned_gb
+                    executor = ctx.spawn_executor(app, 0, 100.0, 5.0)
+                    self.outcomes.append((executor, before,
+                                          app.unassigned_gb,
+                                          list(ctx.cluster.node(0).executors)))
+
+        scheduler = OversizedScheduler()
+        result = run_sim(scheduler, [Job("HB.Sort", 5.0)], n_nodes=1,
+                         max_time_min=5.0)
+        [(executor, before, after, node_executors)] = scheduler.outcomes
+        assert executor is None
+        assert after == before                  # no data left the app
+        assert node_executors == []
+        assert not result.all_finished()
+
 
 class TestInterferenceAndFailures:
     def test_under_provisioning_causes_paging_or_oom(self):
